@@ -33,8 +33,7 @@ from repro.simulator import (
     DensityMatrixBackend,
     NoiseModel,
     SimulationEngine,
-    backend_kind,
-    get_execution_backend,
+    StatevectorBackend,
 )
 from repro.transpiler import CouplingMap, PassManager, Target, default_pass_manager
 from repro.utils.rng import SeedLike
@@ -47,11 +46,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class QuCADConfig:
     """Framework-level configuration.
 
-    ``backend`` names the execution backend for the framework's *training*
-    paths (adjoint gradients require statevector semantics, so only the
-    ``statevector`` family — aliases ``ideal`` — is accepted; construction
-    raises otherwise).  Noisy evaluation always runs on a density-matrix
-    backend sharing the same engine.
+    Training paths run on a statevector backend (adjoint gradients need
+    statevector semantics) and noisy evaluation on a density-matrix backend;
+    both share the framework's engine.
     """
 
     compression: CompressionConfig = field(default_factory=CompressionConfig)
@@ -61,7 +58,6 @@ class QuCADConfig:
     train_samples: Optional[int] = 128
     fallback_relative_threshold: float = 0.3
     seed: SeedLike = 0
-    backend: str = "statevector"
 
 
 class QuCAD:
@@ -93,15 +89,8 @@ class QuCAD:
         self.pass_manager = (
             pass_manager if pass_manager is not None else default_pass_manager()
         )
-        if backend_kind(self.config.backend) != "statevector":
-            raise RepositoryError(
-                f"QuCADConfig.backend {self.config.backend!r} is not usable for "
-                "training: adjoint gradients need statevector semantics. Use "
-                "'statevector' (alias 'ideal'); noisy evaluation automatically "
-                "runs on a density-matrix backend over the same engine."
-            )
         self.engine = SimulationEngine()
-        self.backend = get_execution_backend(self.config.backend, engine=self.engine)
+        self.backend = StatevectorBackend(engine=self.engine)
         self.noisy_backend = DensityMatrixBackend(engine=self.engine)
         self.compressor = NoiseAwareCompressor(
             self.config.compression, backend=self.backend

@@ -300,12 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
         "float32 (fast tier; complex64 fused matrices and walks)",
     )
     parser.add_argument(
-        "--kernel",
-        default=None,
-        help="statevector kernel suite (numpy is always available; numba "
-        "auto-registers when importable)",
-    )
-    parser.add_argument(
         "--fusion-width",
         type=int,
         default=None,
@@ -357,7 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         help="open-loop Poisson arrival rate in requests/second "
-        "(default: closed-loop — submit as fast as responses allow)",
+        "(default: submit every request at once as one burst; its latency "
+        "percentiles include queueing behind the burst)",
     )
     fleet = parser.add_argument_group("fleet (fleet experiment only)")
     fleet.add_argument(
@@ -451,22 +446,16 @@ def main(argv: Optional[list[str]] = None) -> int:
                 f"--{option.replace('_', '-')} does not apply to "
                 f"experiment {args.name!r}"
             )
-    if args.dtype is not None or args.kernel is not None or args.fusion_width is not None:
+    if args.dtype is not None or args.fusion_width is not None:
         # Publish the fast-tier knobs through the environment *and* rebuild
         # the default engine: the env vars make spawned pool workers and
         # shard children inherit the same tier, while the rebuilt default
         # engine serves every in-process simulation.
         from repro.simulator import SimulationEngine, set_default_engine
-        from repro.simulator.engine import (
-            DTYPE_ENV_VAR,
-            FUSION_WIDTH_ENV_VAR,
-            KERNEL_ENV_VAR,
-        )
+        from repro.simulator.engine import DTYPE_ENV_VAR, FUSION_WIDTH_ENV_VAR
 
         if args.dtype is not None:
             os.environ[DTYPE_ENV_VAR] = args.dtype
-        if args.kernel is not None:
-            os.environ[KERNEL_ENV_VAR] = args.kernel
         if args.fusion_width is not None:
             os.environ[FUSION_WIDTH_ENV_VAR] = str(args.fusion_width)
         set_default_engine(SimulationEngine())

@@ -14,8 +14,9 @@ With ``shards > 1`` the harness builds a
 but requests are consistent-hash routed to that many shard worker
 processes.  ``num_models`` deploys the trained model under several endpoint
 names (``qnn-0`` … ``qnn-N``) so the load spreads across shards, and
-``arrival_rate`` switches the load generator from closed-loop to open-loop
-(fixed-rate Poisson) arrivals.
+``arrival_rate`` switches the load generator from one burst (every request
+submitted at once, so latencies include queueing behind the burst) to
+open-loop (fixed-rate Poisson) arrivals.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ def run_serve(
     ``num_models > 1`` publishes the model under several endpoint names so
     the consistent-hash ring spreads them over the shards; a non-``None``
     ``arrival_rate`` (requests/second) drives the open-loop generator
-    instead of the closed loop.
+    instead of the default burst.
     """
     scale = scale or ExperimentScale()
     if setup is None:

@@ -68,16 +68,19 @@ def evaluate_noisy(
     """Accuracy under a calibration-derived noise model.
 
     ``shots`` switches from exact expectation values to sampled ones, which
-    emulates execution on real hardware (Fig. 8).
+    emulates execution on real hardware (Fig. 8).  A one-binding view of
+    :func:`evaluate_noisy_batch`.
     """
-    logits = model.forward_noisy(
-        features, noise_model, parameters=parameters, shots=shots, seed=seed,
+    return evaluate_noisy_batch(
+        model,
+        features,
+        labels,
+        [noise_model],
+        parameter_sets=[parameters],
+        shots=shots,
+        seeds=[seed],
         backend=backend,
-    )
-    predictions = np.argmax(logits, axis=-1)
-    return EvaluationResult(
-        accuracy=accuracy(logits, labels), logits=logits, predictions=predictions
-    )
+    )[0]
 
 
 def _shared_binding(parameter_sets) -> bool:
@@ -140,10 +143,10 @@ def evaluate_noisy_batch(
 ) -> list[EvaluationResult]:
     """Evaluate many (parameters, noise model) bindings in bulk.
 
-    This is the batched form of :func:`evaluate_noisy`: the whole binding
-    list — e.g. every day of a longitudinal sweep — is evaluated in a few
-    vectorised backend calls instead of one call per binding, and entry ``p``
-    is bit-identical to the corresponding :func:`evaluate_noisy` call.
+    The whole binding list — e.g. every day of a longitudinal sweep — is
+    evaluated in a few vectorised backend calls instead of one call per
+    binding, and entry ``p`` is bit-identical to the one-binding call
+    (:func:`evaluate_noisy`) for binding ``p``.
     Bindings are chunked so one flattened density super-batch stays within
     ``max_batch_bytes`` and within the cache-friendly stacking regime (see
     :func:`_batch_chunk_size`).

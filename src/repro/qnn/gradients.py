@@ -73,47 +73,17 @@ def adjoint_gradient(
     (gradient, final_states):
         ``gradient`` has one entry per parameter; ``final_states`` are the
         evolved statevectors (reusable for the loss value).
+
+    A one-binding view of :func:`adjoint_gradient_batch`.
     """
-    from repro.simulator.engine import default_engine
-
-    parameters = np.asarray(parameters, dtype=float)
-    engine = engine if engine is not None else default_engine()
-    complex_dtype = getattr(engine, "complex_dtype", np.dtype(np.complex128))
-    num_qubits = circuit.num_qubits
-    if initial_states.shape[0] != observable_diagonals.shape[0]:
-        raise TrainingError("initial_states and observable_diagonals batch mismatch")
-
-    if final_states is None:
-        states = np.array(initial_states, dtype=complex_dtype, copy=True)
-        program = engine.compile(circuit, parameters)
-        states = ops.apply_fused_statevector(states, program.operations, num_qubits)
-        final_states = states.copy()
-    else:
-        final_states = np.asarray(final_states, dtype=complex_dtype)
-        if final_states.shape != initial_states.shape:
-            raise TrainingError("final_states and initial_states shape mismatch")
-        states = final_states
-
-    bound = engine.bound_circuit(circuit, parameters)
-    gradient = np.zeros(circuit.num_parameters, dtype=float)
-    # Cast the (real) diagonals to the states' precision so a complex64
-    # sweep never upcasts; bit-identical at the float64 default.
-    observable_diagonals = np.asarray(observable_diagonals).astype(
-        states.real.dtype, copy=False
-    )
-    lam = observable_diagonals * states  # D_b |psi_b>
-    psi = states
-    for index in range(len(bound.gates) - 1, -1, -1):
-        record = bound.gates[index]
-        gate = record.gate
-        psi = ops.apply_unitary_statevector(psi, record.dagger, record.qubits, num_qubits)
-        if gate.param_ref is not None and gate.trainable:
-            derivative = bound.derivative(index)
-            d_psi = ops.apply_unitary_statevector(psi, derivative, record.qubits, num_qubits)
-            overlap = np.sum(lam.conj() * d_psi)
-            gradient[gate.param_ref] += 2.0 * float(np.real(overlap))
-        lam = ops.apply_unitary_statevector(lam, record.dagger, record.qubits, num_qubits)
-    return gradient, final_states
+    return adjoint_gradient_batch(
+        circuit,
+        [parameters],
+        initial_states,
+        observable_diagonals,
+        engine=engine,
+        final_states=None if final_states is None else [final_states],
+    )[0]
 
 
 def adjoint_gradient_batch(
@@ -132,14 +102,13 @@ def adjoint_gradient_batch(
     circuit — the trainer's regime, where one parameter vector drives the
     whole minibatch — the shared 2-D matrices broadcast over the super-batch;
     otherwise per-binding matrix stacks are used.  Either way each binding's
-    overlap sums run over its own contiguous slice, so the result is
-    bit-identical to calling :func:`adjoint_gradient` once per binding.
+    overlap sums run over its own contiguous slice, so each binding's result
+    is bit-identical to a one-binding batch.
 
     ``initial_states`` may be one shared ``(batch, dim)`` array or a
     ``(groups, batch, dim)`` stack; ``observable_diagonals`` likewise.
     ``final_states``, when provided, is a per-binding sequence of evolved
-    states.  Returns one ``(gradient, final_states)`` pair per binding,
-    matching :func:`adjoint_gradient`.
+    states.  Returns one ``(gradient, final_states)`` pair per binding.
     """
     from repro.simulator.engine import default_engine
 
@@ -179,6 +148,8 @@ def adjoint_gradient_batch(
             raise TrainingError(
                 "adjoint_gradient_batch: final_states group count mismatch"
             )
+        if any(f.shape != init.shape for f, init in zip(finals, initial_list)):
+            raise TrainingError("final_states and initial_states shape mismatch")
 
     bounds = [engine.bound_circuit(circuit, params) for params in params_list]
     reference = bounds[0]
@@ -187,14 +158,14 @@ def adjoint_gradient_batch(
     shared = all(b is reference for b in bounds[1:])
 
     real_dtype = finals[0].real.dtype
-    lam = np.concatenate(
-        [
-            np.asarray(d).astype(real_dtype, copy=False) * s
-            for d, s in zip(diag_list, finals)
-        ],
-        axis=0,
-    )
-    psi = np.concatenate(finals, axis=0)
+    lams = [
+        np.asarray(d).astype(real_dtype, copy=False) * s
+        for d, s in zip(diag_list, finals)
+    ]
+    # A single binding needs no super-batch copy: the sweep below never
+    # writes into ``psi`` or ``lam`` in place.
+    lam = lams[0] if groups == 1 else np.concatenate(lams, axis=0)
+    psi = finals[0] if groups == 1 else np.concatenate(finals, axis=0)
     gradients = [np.zeros(circuit.num_parameters, dtype=float) for _ in range(groups)]
     for index in range(len(reference.gates) - 1, -1, -1):
         record = reference.gates[index]

@@ -26,7 +26,7 @@ import numpy as np
 from repro.circuits import QuantumCircuit, build_qucad_ansatz
 from repro.exceptions import TrainingError
 from repro.qnn.encoding import AngleEncoder
-from repro.qnn.gradients import adjoint_gradient, adjoint_gradient_batch, z_diagonal
+from repro.qnn.gradients import adjoint_gradient_batch, z_diagonal
 from repro.qnn.loss import get_loss
 from repro.simulator import (
     Backend,
@@ -253,23 +253,11 @@ class QNNModel:
     ) -> np.ndarray:
         """Noise-free Z expectations of the readout qubits.
 
-        Execution routes through the unified backend API: the ansatz is
-        compiled once per (structure, parameters) pair and reused across
-        calls, so evaluating many data batches at fixed parameters — the
-        dominant workload of the online phase — costs only the fused matrix
-        applications.  ``initial_states`` skips the encoding step when the
-        caller already holds the encoded states (the trainer pre-encodes the
-        dataset once per ``train`` call); encoding is per-sample, so a
-        row-slice of a previously encoded set is bit-identical to encoding
-        the slice.
+        A one-binding view of :meth:`ideal_expectations_batch`.
         """
-        parameters = self.parameters if parameters is None else np.asarray(parameters, dtype=float)
-        backend = backend if backend is not None else default_statevector_backend()
-        if initial_states is None:
-            simulator = backend.simulator(self.num_qubits)
-            initial_states = self.encoder.encode_statevectors(features, simulator)
-        result = backend.execute(self.ansatz, initial_states, parameters=parameters)
-        return result.expectation_z(self.readout_qubits)
+        return self.ideal_expectations_batch(
+            features, [parameters], backend=backend, initial_states=initial_states
+        )[0]
 
     def forward_ideal(
         self,
@@ -278,10 +266,10 @@ class QNNModel:
         backend: Optional[Backend] = None,
         initial_states: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Noise-free class logits."""
-        return self.logit_scale * self.ideal_expectations(
-            features, parameters, backend=backend, initial_states=initial_states
-        )
+        """Noise-free class logits (a one-binding view of :meth:`forward_ideal_batch`)."""
+        return self.forward_ideal_batch(
+            features, [parameters], backend=backend, initial_states=initial_states
+        )[0]
 
     def _normalize_parameter_sets(
         self, parameter_sets, count: Optional[int] = None
@@ -306,19 +294,27 @@ class QNNModel:
         features: np.ndarray,
         parameter_sets: Sequence[Optional[np.ndarray]],
         backend: Optional[Backend] = None,
+        initial_states: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Noise-free Z expectations under many parameter bindings at once.
 
         One encode plus one vectorised ``execute_batch`` serves every
         binding; the result has shape ``(len(parameter_sets), batch,
-        num_classes)`` and row ``p`` is bit-identical to
-        ``ideal_expectations(features, parameter_sets[p])``.
+        num_classes)``.  The ansatz is compiled once per (structure,
+        parameters) pair and reused across calls, so evaluating many data
+        batches at fixed parameters — the dominant workload of the online
+        phase — costs only the fused matrix applications.
+        ``initial_states`` skips the encoding step when the caller already
+        holds the encoded states (the trainer pre-encodes the dataset once
+        per ``train`` call); encoding is per-sample, so a row-slice of a
+        previously encoded set is bit-identical to encoding the slice.
         """
         parameter_sets = self._normalize_parameter_sets(parameter_sets)
         backend = backend if backend is not None else default_statevector_backend()
-        simulator = backend.simulator(self.num_qubits)
-        initial = self.encoder.encode_statevectors(features, simulator)
-        results = backend.execute_batch(self.ansatz, parameter_sets, initial)
+        if initial_states is None:
+            simulator = backend.simulator(self.num_qubits)
+            initial_states = self.encoder.encode_statevectors(features, simulator)
+        results = backend.execute_batch(self.ansatz, parameter_sets, initial_states)
         return np.stack(
             [result.expectation_z(self.readout_qubits) for result in results]
         )
@@ -328,10 +324,11 @@ class QNNModel:
         features: np.ndarray,
         parameter_sets: Sequence[Optional[np.ndarray]],
         backend: Optional[Backend] = None,
+        initial_states: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Noise-free class logits for many parameter bindings, stacked."""
         return self.logit_scale * self.ideal_expectations_batch(
-            features, parameter_sets, backend=backend
+            features, parameter_sets, backend=backend, initial_states=initial_states
         )
 
     def noisy_expectations(
@@ -344,27 +341,19 @@ class QNNModel:
         apply_readout_error: bool = True,
         backend: Optional[Backend] = None,
     ) -> np.ndarray:
-        """Z expectations under a device noise model (density-matrix simulation)."""
-        parameters = self.parameters if parameters is None else np.asarray(parameters, dtype=float)
-        transpiled = self._require_transpiled()
-        device_qubits = transpiled.coupling.num_qubits
-        backend = backend if backend is not None else default_density_backend()
-        simulator = backend.simulator(device_qubits)
-        mapping = [
-            transpiled.encoding_physical_qubit(logical)
-            for logical in range(self.num_qubits)
-        ]
-        initial = self.encoder.encode_density_matrices(
-            features, simulator, noise_model=noise_model, qubit_mapping=mapping
-        )
-        physical = transpiled.to_physical(parameters)
-        result = backend.execute(physical, initial, noise_model=noise_model)
-        measured = transpiled.measured_physical_qubits(self.readout_qubits)
-        if shots is None:
-            return result.expectation_z(measured, apply_readout_error=apply_readout_error)
-        return result.sample_expectation_z(
-            measured, shots=shots, seed=seed, apply_readout_error=apply_readout_error
-        )
+        """Z expectations under a device noise model (density-matrix simulation).
+
+        A one-binding view of :meth:`noisy_expectations_batch`.
+        """
+        return self.noisy_expectations_batch(
+            features,
+            [noise_model],
+            parameter_sets=[parameters],
+            shots=shots,
+            seeds=[seed],
+            apply_readout_error=apply_readout_error,
+            backend=backend,
+        )[0]
 
     def forward_noisy(
         self,
@@ -375,12 +364,15 @@ class QNNModel:
         seed: SeedLike = None,
         backend: Optional[Backend] = None,
     ) -> np.ndarray:
-        """Class logits under a device noise model."""
-        expectations = self.noisy_expectations(
-            features, noise_model, parameters=parameters, shots=shots, seed=seed,
+        """Class logits under a device noise model (a one-binding view of :meth:`forward_noisy_batch`)."""
+        return self.forward_noisy_batch(
+            features,
+            [noise_model],
+            parameter_sets=[parameters],
+            shots=shots,
+            seeds=[seed],
             backend=backend,
-        )
-        return self.logit_scale * expectations
+        )[0]
 
     def noisy_expectations_batch(
         self,
@@ -399,8 +391,9 @@ class QNNModel:
         binding super-batch (per-binding channel strengths) and the physical
         circuit walk applies each gate once across all bindings.  Returns
         shape ``(len(noise_models), batch, num_classes)``; row ``p`` is
-        bit-identical to ``noisy_expectations(features, noise_models[p],
-        parameter_sets[p], shots=shots, seed=seeds[p])``.
+        bit-identical to the one-binding call for ``noise_models[p]``,
+        ``parameter_sets[p]`` and ``seeds[p]``.  ``shots`` switches from exact
+        expectation values to sampled ones (hardware emulation, Fig. 8).
         """
         count = len(noise_models)
         parameter_sets = self._normalize_parameter_sets(parameter_sets, count)
@@ -476,50 +469,18 @@ class QNNModel:
     ) -> tuple[float, np.ndarray]:
         """Training loss and its gradient w.r.t. the trainable parameters.
 
-        The forward/backward pass runs on the noise-free backend (compiled
-        and cached per parameter binding); if a ``noise_injector`` is given
-        (noise-aware training, ref [12]), the expectations are attenuated
-        and jittered before the loss, and the attenuation is chained into
-        the gradient.  ``initial_states`` skips encoding when the caller
-        already holds the encoded batch.
+        A one-binding view of :meth:`loss_and_gradient_batch`.
         """
-        parameters = self.parameters if parameters is None else np.asarray(parameters, dtype=float)
-        backend = backend if backend is not None else default_statevector_backend()
-        loss_fn = get_loss(loss)
-        # One encode + one compiled forward serves both the loss value and
-        # (via its final states) the adjoint backward sweep below.
-        if initial_states is None:
-            simulator = backend.simulator(self.num_qubits)
-            initial = self.encoder.encode_statevectors(features, simulator)
-        else:
-            initial = initial_states
-        forward = backend.execute(self.ansatz, initial, parameters=parameters)
-        expectations = forward.expectation_z(self.readout_qubits)
-        if noise_injector is not None:
-            noisy_expectations, attenuation = noise_injector.apply(expectations, rng=rng)
-        else:
-            noisy_expectations, attenuation = expectations, np.ones(self.num_classes)
-        logits = self.logit_scale * noisy_expectations
-        loss_value, dloss_dlogits = loss_fn(logits, labels)
-        dloss_dexpectations = self.logit_scale * attenuation * dloss_dlogits
-
-        num_qubits = self.num_qubits
-        diagonals = np.zeros((features.shape[0], 2**num_qubits))
-        for column, qubit in enumerate(self.readout_qubits):
-            diagonals += dloss_dexpectations[:, column : column + 1] * z_diagonal(
-                qubit, num_qubits
-            )
-
-        engine = getattr(backend, "engine", None)
-        gradient, _ = adjoint_gradient(
-            self.ansatz,
-            parameters,
-            initial,
-            diagonals,
-            engine=engine,
-            final_states=forward.states,
-        )
-        return loss_value, gradient
+        return self.loss_and_gradient_batch(
+            features,
+            labels,
+            [parameters],
+            loss=loss,
+            noise_injector=noise_injector,
+            rng=rng,
+            backend=backend,
+            initial_states=initial_states,
+        )[0]
 
     def loss_and_gradient_batch(
         self,
@@ -527,23 +488,33 @@ class QNNModel:
         labels: np.ndarray,
         parameter_sets: Sequence[Optional[np.ndarray]],
         loss: str = "cross_entropy",
+        noise_injector=None,
+        rng: Optional[np.random.Generator] = None,
         backend: Optional[Backend] = None,
         initial_states: Optional[np.ndarray] = None,
     ) -> list[tuple[float, np.ndarray]]:
         """Loss and gradient for many parameter bindings in one forward pass.
 
         The forward evolutions of every binding run as a single vectorised
-        ``execute_batch`` call, and the adjoint backward sweeps of *all*
-        bindings run as one stacked sweep
+        ``execute_batch`` call on the noise-free backend, and the adjoint
+        backward sweeps of *all* bindings run as one stacked sweep
         (:func:`repro.qnn.gradients.adjoint_gradient_batch`): each gate's
         dagger is applied once across the binding super-batch instead of
-        once per binding.  Entry ``p`` is bit-identical to
-        ``loss_and_gradient(features, labels, parameter_sets[p])`` without a
-        noise injector.
+        once per binding.  Entry ``p`` is bit-identical to the one-binding
+        call for ``parameter_sets[p]``.
+
+        If a ``noise_injector`` is given (noise-aware training, ref [12]),
+        each binding's expectations are attenuated and jittered before the
+        loss, and the attenuation is chained into the gradient.  The jitter
+        is drawn from ``rng`` per binding, in binding order.
+        ``initial_states`` skips encoding when the caller already holds the
+        encoded batch.
         """
         parameter_sets = self._normalize_parameter_sets(parameter_sets)
         backend = backend if backend is not None else default_statevector_backend()
         loss_fn = get_loss(loss)
+        # One encode + one compiled forward serves both the loss values and
+        # (via the final states) the adjoint backward sweep below.
         if initial_states is None:
             simulator = backend.simulator(self.num_qubits)
             initial = self.encoder.encode_statevectors(features, simulator)
@@ -554,11 +525,15 @@ class QNNModel:
         num_qubits = self.num_qubits
         losses: list[float] = []
         diagonal_stack: list[np.ndarray] = []
-        for parameters, forward in zip(parameter_sets, forwards):
+        for forward in forwards:
             expectations = forward.expectation_z(self.readout_qubits)
+            if noise_injector is not None:
+                expectations, attenuation = noise_injector.apply(expectations, rng=rng)
+            else:
+                attenuation = np.ones(self.num_classes)
             logits = self.logit_scale * expectations
             loss_value, dloss_dlogits = loss_fn(logits, labels)
-            dloss_dexpectations = self.logit_scale * dloss_dlogits
+            dloss_dexpectations = self.logit_scale * attenuation * dloss_dlogits
             diagonals = np.zeros((features.shape[0], 2**num_qubits))
             for column, qubit in enumerate(self.readout_qubits):
                 diagonals += dloss_dexpectations[:, column : column + 1] * z_diagonal(

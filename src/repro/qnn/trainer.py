@@ -151,31 +151,20 @@ class Trainer:
             epoch_losses = []
             for start in range(0, num_samples, config.batch_size):
                 batch_index = order[start : start + config.batch_size]
-                if noise_injector is None:
-                    # The fully batched step: one ``execute_batch`` forward
-                    # and one stacked adjoint sweep per optimiser step.
-                    [(loss_value, gradient)] = self.model.loss_and_gradient_batch(
-                        features[batch_index],
-                        labels[batch_index],
-                        [parameters],
-                        loss=config.loss,
-                        backend=backend,
-                        initial_states=encoded[batch_index],
-                    )
-                else:
-                    # Noise-aware training consumes the epoch rng stream
-                    # inside the loss, so it keeps the per-call path (with
-                    # the pre-encoded states reused).
-                    loss_value, gradient = self.model.loss_and_gradient(
-                        features[batch_index],
-                        labels[batch_index],
-                        parameters=parameters,
-                        loss=config.loss,
-                        noise_injector=noise_injector,
-                        rng=rng,
-                        backend=backend,
-                        initial_states=encoded[batch_index],
-                    )
+                # The fully batched step: one ``execute_batch`` forward and
+                # one stacked adjoint sweep per optimiser step.  Noise-aware
+                # training draws its jitter from the epoch rng inside the
+                # step, after this epoch's shuffle.
+                [(loss_value, gradient)] = self.model.loss_and_gradient_batch(
+                    features[batch_index],
+                    labels[batch_index],
+                    [parameters],
+                    loss=config.loss,
+                    noise_injector=noise_injector,
+                    rng=rng,
+                    backend=backend,
+                    initial_states=encoded[batch_index],
+                )
                 if prox_rho > 0:
                     loss_value += 0.5 * prox_rho * float(
                         np.sum((parameters - prox_target) ** 2)

@@ -10,9 +10,12 @@ swap actions).
 
 Two arrival disciplines are supported:
 
-* :meth:`LoadGenerator.run` — *closed loop*: every request is submitted as
-  fast as the previous submission returns, so the offered load adapts to
-  the service and the run measures peak throughput.
+* :meth:`LoadGenerator.run` — *burst*: every request is submitted at once
+  (``predict_async`` never waits for a response), then every response is
+  awaited.  The run measures peak throughput; its latency percentiles
+  include each request's queueing behind the whole burst, so they grow
+  with ``num_requests`` and are not per-request service latencies.  The
+  report labels this mode ``"closed"``.
 * :meth:`LoadGenerator.run_open_loop` — *open loop*: requests arrive on a
   fixed-rate or Poisson schedule that does **not** slow down when the
   service stalls, and each request's latency is measured from its
@@ -53,7 +56,8 @@ class LoadReport:
     per_model: dict[str, int]
     versions_served: dict[str, list[int]]
     swaps: list[dict] = field(default_factory=list)
-    #: Arrival discipline: ``"closed"`` (default) or ``"open"``.
+    #: Arrival discipline: ``"closed"`` (the default burst of :meth:`LoadGenerator.run`)
+    #: or ``"open"``.
     mode: str = "closed"
     #: Target arrival rate of an open-loop run (requests/second).
     arrival_rate: Optional[float] = None
@@ -116,10 +120,15 @@ class LoadGenerator:
         drift_history=None,
         observe_every: Optional[int] = None,
     ) -> LoadReport:
-        """Send ``num_requests`` single-sample requests and await every reply.
+        """Submit ``num_requests`` single-sample requests at once, then await every reply.
 
-        Requests rotate round-robin over the deployed names with samples
-        drawn uniformly from the feature pool.  When ``drift_history`` and
+        Submission never waits for a response, so the whole burst is queued
+        up front: throughput is the service's peak, and each latency includes
+        the time the request waited behind the burst ahead of it (the
+        percentiles grow with ``num_requests``).  Use :meth:`run_open_loop`
+        for latency at a fixed arrival rate.  Requests rotate round-robin
+        over the deployed names with samples drawn uniformly from the
+        feature pool.  When ``drift_history`` and
         ``observe_every`` are given, one snapshot is fed to each model's
         calibration watcher every ``observe_every`` requests — drift lands
         mid-stream, with requests in flight, exactly the hot-swap scenario

@@ -6,20 +6,16 @@ Layer map:
 * :mod:`~repro.simulator.statevector` / :mod:`~repro.simulator.density_matrix`
   — the two state representations (ideal ``W_p`` and noisy ``W_n``);
 * :mod:`~repro.simulator.engine` — gate fusion + compiled-circuit LRU cache;
-* :mod:`~repro.simulator.backend` — the unified ``Backend.execute`` API that
-  the qnn and core layers route through.
+* :mod:`~repro.simulator.backend` — the unified, batch-first
+  ``Backend.execute_batch`` API that the qnn and core layers route through.
 """
 
 from repro.simulator.backend import (
     Backend,
     DensityMatrixBackend,
-    SampledStatevectorResult,
     StatevectorBackend,
-    TrajectoryBackend,
-    backend_kind,
     default_density_backend,
     default_statevector_backend,
-    get_execution_backend,
 )
 from repro.simulator.density_matrix import DensityMatrixResult, DensityMatrixSimulator
 from repro.simulator.engine import (
@@ -36,13 +32,6 @@ from repro.simulator.engine import (
     parameter_digest,
     resolve_precision,
     set_default_engine,
-)
-from repro.simulator.kernels import (
-    KernelSuite,
-    available_kernels,
-    get_kernels,
-    numba_available,
-    register_kernels,
 )
 from repro.simulator.noise_channels import (
     AmplitudeDampingChannel,
@@ -67,13 +56,10 @@ __all__ = [
     "FusedGate",
     "FusionBlock",
     "FusionPlan",
-    "KernelSuite",
-    "SampledStatevectorResult",
     "SimulationEngine",
     "StatevectorBackend",
     "StatevectorResult",
     "StatevectorSimulator",
-    "TrajectoryBackend",
     "NoiseModel",
     "VIRTUAL_GATES",
     "DepolarizingChannel",
@@ -82,18 +68,12 @@ __all__ = [
     "AmplitudeDampingChannel",
     "PhaseDampingChannel",
     "ReadoutError",
-    "available_kernels",
-    "backend_kind",
     "build_fusion_plan",
     "circuit_structure_digest",
     "default_density_backend",
     "default_engine",
     "default_statevector_backend",
-    "get_execution_backend",
-    "get_kernels",
-    "numba_available",
     "parameter_digest",
-    "register_kernels",
     "resolve_precision",
     "set_default_engine",
     "ops",

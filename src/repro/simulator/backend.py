@@ -7,34 +7,34 @@ Historically each consumer (``qnn/model.py``, ``qnn/trainer.py``,
 nothing was shared or cached between calls.  This module funnels all of them
 through a single protocol::
 
-    backend = get_execution_backend("statevector")
-    result = backend.execute(circuit, initial_states, parameters=theta)
-    logits = result.expectation_z(readout_qubits)
+    backend = StatevectorBackend()
+    results = backend.execute_batch(circuit, parameter_sets, initial_states)
+    logits = results[0].expectation_z(readout_qubits)
 
-Three backends cover the paper's three execution regimes:
+Two backends cover the paper's two execution environments:
 
 * :class:`StatevectorBackend` — the ideal environment ``W_p(theta)``
   (noise-free statevector simulation, compiled + fused via the
   :class:`~repro.simulator.engine.SimulationEngine`);
 * :class:`DensityMatrixBackend` — the noisy environment ``W_n(theta)``
-  (density matrices under a calibration-derived noise model);
-* :class:`TrajectoryBackend` — hardware emulation: ideal evolution followed
-  by shot sampling of the measurement distribution (the Fig. 8 regime).
+  (density matrices under a calibration-derived noise model).  Shot
+  sampling (the Fig. 8 hardware regime) happens on its results
+  (``sample_expectation_z``).
 
-Every backend shares one :class:`SimulationEngine`, so compiled programs are
-reused across models, trainers, and the repository manager.
+The backends are batch-first: ``execute_batch`` (one circuit structure, many
+bindings) is the only execution path, and ``execute`` is a one-binding view
+of it.  Every backend shares one :class:`SimulationEngine`, so compiled
+programs are reused across models, trainers, and the repository manager.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Protocol, Sequence, Union, runtime_checkable
 
 import numpy as np
 
 from repro.circuits import QuantumCircuit
 from repro.exceptions import SimulationError
-from repro.simulator import ops
 from repro.simulator.density_matrix import DensityMatrixResult, DensityMatrixSimulator
 from repro.simulator.engine import (
     SimulationEngine,
@@ -44,7 +44,7 @@ from repro.simulator.engine import (
 )
 from repro.simulator.noise_model import NoiseModel
 from repro.simulator.statevector import StatevectorResult, StatevectorSimulator
-from repro.utils.rng import SeedLike, ensure_rng
+from repro.utils.rng import SeedLike
 
 CircuitOrCircuits = Union[QuantumCircuit, Sequence[QuantumCircuit]]
 
@@ -62,9 +62,8 @@ class Backend(Protocol):
 
     ``execute_batch`` is the vectorised many-bindings entry point: one
     circuit structure, many parameter bindings / noise models / seeds, one
-    result per binding.  Backends without a vectorised path satisfy the
-    protocol through the per-item loop fallback, which is also the
-    correctness reference the vectorised paths must bit-match.
+    result per binding.  ``execute`` is a view of it with every circuit
+    bound the same way.
     """
 
     name: str
@@ -137,31 +136,23 @@ class _EngineBackend:
         shots: Optional[int] = None,
         seed: SeedLike = None,
     ):
-        if isinstance(circuits, QuantumCircuit):
-            return self._execute_one(
-                circuits,
-                initial_states,
-                parameters=parameters,
-                batch=batch,
-                noise_model=noise_model,
-                shots=shots,
-                seed=seed,
-            )
-        return [
-            self._execute_one(
-                circuit,
-                initial_states,
-                parameters=parameters,
-                batch=batch,
-                noise_model=noise_model,
-                shots=shots,
-                seed=seed,
-            )
-            for circuit in circuits
-        ]
+        """Run the circuit(s) under one shared binding: a view of ``execute_batch``.
 
-    def _execute_one(self, circuit, initial_states, **kwargs):
-        raise NotImplementedError
+        A single circuit returns a single result; a sequence returns one
+        result per circuit, all started from the same ``initial_states``.
+        """
+        single = isinstance(circuits, QuantumCircuit)
+        items = [circuits] if single else list(circuits)
+        results = self.execute_batch(
+            items,
+            [parameters] * len(items),
+            initial_states,
+            batch=batch,
+            noise_models=[noise_model] * len(items),
+            shots=shots,
+            seeds=[seed] * len(items),
+        )
+        return results[0] if single else results
 
     # -- batched execution ----------------------------------------------
     def _normalize_batch(
@@ -223,40 +214,6 @@ class _EngineBackend:
             states = [initial_states] * count
         return circuits, parameter_sets, states, noise_models, seeds
 
-    def execute_batch(
-        self,
-        circuits: CircuitOrCircuits,
-        parameter_sets: Optional[Sequence[Optional[np.ndarray]]] = None,
-        initial_states: Optional[np.ndarray] = None,
-        *,
-        batch: int = 1,
-        noise_models: NoiseModelOrModels = None,
-        shots: Optional[int] = None,
-        seeds: Optional[Sequence[SeedLike]] = None,
-    ) -> list:
-        """Per-binding loop fallback: one ``_execute_one`` call per binding.
-
-        Subclasses override this with vectorised paths; the fallback is the
-        behavioural contract they must match bit-for-bit.
-        """
-        circuits, parameter_sets, states, noise_models, seeds = self._normalize_batch(
-            circuits, parameter_sets, initial_states, noise_models, seeds
-        )
-        return [
-            self._execute_one(
-                circuit,
-                item_states,
-                parameters=parameters,
-                batch=batch,
-                noise_model=noise_model,
-                shots=shots,
-                seed=seed,
-            )
-            for circuit, parameters, item_states, noise_model, seed in zip(
-                circuits, parameter_sets, states, noise_models, seeds
-            )
-        ]
-
 
 class StatevectorBackend(_EngineBackend):
     """Ideal (noise-free) execution — the paper's ``W_p(theta)``.
@@ -287,34 +244,14 @@ class StatevectorBackend(_EngineBackend):
             )
         return states
 
-    def _execute_one(
-        self,
-        circuit: QuantumCircuit,
-        initial_states,
-        *,
-        parameters=None,
-        batch: int = 1,
-        noise_model=None,
-        shots=None,
-        seed=None,
-    ) -> StatevectorResult:
-        if noise_model is not None:
-            raise SimulationError(
-                "the statevector backend is noise-free; use the density_matrix "
-                "backend for noisy execution"
-            )
-        states = self._prepare_states(circuit, initial_states, batch)
-        states = self.engine.run_statevector(circuit, states, parameters)
-        return StatevectorResult(states=states, num_qubits=circuit.num_qubits)
-
     def _evolve_batch(
         self, circuits, parameter_sets, per_item_states, batch: int
     ) -> list[np.ndarray]:
         """Evolve every binding, vectorised when the structures allow it.
 
         Returns one evolved ``(batch, dim)`` array per binding.  Bindings
-        with heterogeneous structures (or batch shapes) fall back to one
-        engine run per binding.
+        with heterogeneous structures (or batch shapes) run one engine call
+        per binding.
         """
         try:
             stacked = np.stack(
@@ -350,9 +287,9 @@ class StatevectorBackend(_EngineBackend):
     ) -> list[StatevectorResult]:
         """Vectorised multi-binding execution (single stacked-matmul sweep).
 
-        All bindings must share one circuit structure; when they don't, the
-        per-binding loop fallback handles the batch instead.  Bit-identical
-        to the fallback by construction (same elementary matmuls).
+        Bindings that share one circuit structure evolve in one engine call;
+        otherwise each binding runs as its own one-group engine call.  Both
+        perform the same elementary matmuls, so results are bit-identical.
         """
         circuits, parameter_sets, states, noise_models, seeds = self._normalize_batch(
             circuits, parameter_sets, initial_states, noise_models, seeds
@@ -366,132 +303,6 @@ class StatevectorBackend(_EngineBackend):
         return [
             StatevectorResult(states=group, num_qubits=circuit.num_qubits)
             for circuit, group in zip(circuits, evolved)
-        ]
-
-
-@dataclass
-class SampledStatevectorResult:
-    """Shot-sampled view of an ideal statevector execution.
-
-    Outcomes are drawn once (multinomially, ``shots`` per batch element) and
-    reused by every query, so ``probabilities`` and ``expectation_z`` are
-    mutually consistent — the same contract a counts dictionary from real
-    hardware would give.
-    """
-
-    states: np.ndarray
-    num_qubits: int
-    shots: int
-    seed: SeedLike = None
-    _empirical: Optional[np.ndarray] = None
-
-    def probabilities(self) -> np.ndarray:
-        """Empirical basis frequencies, shape ``(batch, 2**n)``."""
-        if self._empirical is None:
-            rng = ensure_rng(self.seed)
-            exact = ops.statevector_probabilities(self.states)
-            counts = ops.sample_counts(exact, self.shots, rng)
-            self._empirical = counts / float(self.shots)
-        return self._empirical
-
-    def expectation_z(self, qubits: Sequence[int]) -> np.ndarray:
-        """Shot-noise Pauli-Z estimates, shape ``(batch, len(qubits))``."""
-        probs = self.probabilities()
-        columns = [ops.expectation_z(probs, q, self.num_qubits) for q in qubits]
-        return np.stack(columns, axis=1)
-
-
-class TrajectoryBackend(StatevectorBackend):
-    """Sampled-trajectory execution: ideal evolution + finite shots.
-
-    Emulates submitting the circuit to hardware and reading back counts;
-    ``shots`` defaults to the backend-level setting when not passed to
-    ``execute``.  The backend-level ``seed`` seeds a generator from which
-    every ``execute`` call draws an *independent* child seed, so repeated
-    calls see fresh shot noise while the whole sequence stays reproducible;
-    a per-call ``seed`` overrides that draw.
-    """
-
-    name = "trajectory"
-
-    def __init__(
-        self,
-        engine: Optional[SimulationEngine] = None,
-        shots: int = 1024,
-        seed: SeedLike = None,
-    ):
-        super().__init__(engine=engine)
-        if shots <= 0:
-            raise SimulationError(f"shots must be positive, got {shots}")
-        self.shots = shots
-        self._rng = ensure_rng(seed)
-
-    def _execute_one(
-        self,
-        circuit: QuantumCircuit,
-        initial_states,
-        *,
-        parameters=None,
-        batch: int = 1,
-        noise_model=None,
-        shots=None,
-        seed=None,
-    ) -> SampledStatevectorResult:
-        ideal = super()._execute_one(
-            circuit,
-            initial_states,
-            parameters=parameters,
-            batch=batch,
-            noise_model=noise_model,
-        )
-        return SampledStatevectorResult(
-            states=ideal.states,
-            num_qubits=ideal.num_qubits,
-            shots=shots if shots is not None else self.shots,
-            seed=seed if seed is not None else int(self._rng.integers(2**63 - 1)),
-        )
-
-    def execute_batch(
-        self,
-        circuits: CircuitOrCircuits,
-        parameter_sets: Optional[Sequence[Optional[np.ndarray]]] = None,
-        initial_states: Optional[np.ndarray] = None,
-        *,
-        batch: int = 1,
-        noise_models: NoiseModelOrModels = None,
-        shots: Optional[int] = None,
-        seeds: Optional[Sequence[SeedLike]] = None,
-    ) -> list[SampledStatevectorResult]:
-        """Vectorised ideal evolution plus per-binding shot sampling.
-
-        Each binding samples from its *own* seed stream: an explicit entry in
-        ``seeds`` wins, otherwise an independent child seed is drawn from the
-        backend-level generator in binding order — so a batched call consumes
-        the backend stream exactly like the equivalent sequence of
-        single-binding ``execute`` calls, and re-running a seeded backend
-        reproduces every binding's counts.
-        """
-        circuits, parameter_sets, states, noise_models, seeds = self._normalize_batch(
-            circuits, parameter_sets, initial_states, noise_models, seeds
-        )
-        if any(model is not None for model in noise_models):
-            raise SimulationError(
-                "the trajectory backend is noise-free; use the density_matrix "
-                "backend for noisy execution"
-            )
-        evolved = self._evolve_batch(circuits, parameter_sets, states, batch)
-        resolved_seeds = [
-            seed if seed is not None else int(self._rng.integers(2**63 - 1))
-            for seed in seeds
-        ]
-        return [
-            SampledStatevectorResult(
-                states=group,
-                num_qubits=circuit.num_qubits,
-                shots=shots if shots is not None else self.shots,
-                seed=item_seed,
-            )
-            for circuit, group, item_seed in zip(circuits, evolved, resolved_seeds)
         ]
 
 
@@ -549,7 +360,8 @@ class DensityMatrixBackend(_EngineBackend):
         All bindings (e.g. calibration days) are flattened into one
         super-batch: every gate is applied once across all bindings, and each
         gate's depolarizing channel carries per-binding strengths.  Bindings
-        whose circuit structures differ fall back to the per-binding loop.
+        are grouped by (structure, parameter binding) and each group is one
+        engine walk, so a single binding runs the engine's per-binding walk.
         ``shots`` / ``seeds`` do not affect evolution here — sampling happens
         on the returned results (``sample_expectation_z``).
         """
@@ -560,148 +372,58 @@ class DensityMatrixBackend(_EngineBackend):
             model if model is not None else self.noise_model
             for model in noise_models
         ]
-        try:
-            prepared = [
-                self._prepare_rho(circuit, item, batch)
-                for circuit, item in zip(circuits, states)
-            ]
-            # Bindings that share one bound circuit (same structure *and*
-            # parameters — e.g. one model across many calibration days)
-            # evolve under broadcast 2-D gate matrices, the cheap vectorised
-            # regime; group them so no binding pays for per-sample matrix
-            # stacks, and a batch of all-distinct bindings degenerates to
-            # the per-binding loop instead of something slower.  A
-            # single-binding batch skips the digest bookkeeping entirely.
-            groups: dict[tuple[str, str], list[int]] = {}
-            if len(circuits) == 1:
-                groups[("", "")] = [0]
-            elif all(c is circuits[0] for c in circuits[1:]) and all(
-                p is parameter_sets[0] for p in parameter_sets[1:]
-            ):
-                # The day-sweep regime: every binding shares one physical
-                # circuit object and one parameter binding, so the whole
-                # batch is one group — skip the per-binding digests (they
-                # hash the full gate list and dominate small batches).
-                groups[("", "")] = list(range(len(circuits)))
-            else:
-                for index, (circuit, parameters) in enumerate(
-                    zip(circuits, parameter_sets)
-                ):
-                    key = (
-                        circuit_structure_digest(circuit),
-                        parameter_digest(circuit, parameters),
-                    )
-                    groups.setdefault(key, []).append(index)
-            results: list[Optional[DensityMatrixResult]] = [None] * len(circuits)
-            for indices in groups.values():
-                stacked = np.stack([prepared[index] for index in indices])
-                evolved = self.engine.run_density_multi(
-                    [circuits[index] for index in indices],
-                    stacked,
-                    noise_models=[models[index] for index in indices],
-                    parameter_sets=[parameter_sets[index] for index in indices],
-                )
-                for index, group in zip(indices, evolved):
-                    results[index] = DensityMatrixResult(
-                        rho=group,
-                        num_qubits=circuits[index].num_qubits,
-                        noise_model=models[index],
-                    )
-            return results
-        except (SimulationError, ValueError):
-            return [
-                self._execute_one(
-                    circuit,
-                    item,
-                    parameters=parameters,
-                    batch=batch,
-                    noise_model=model,
-                )
-                for circuit, parameters, item, model in zip(
-                    circuits, parameter_sets, states, models
-                )
-            ]
-
-    def _execute_one(
-        self,
-        circuit: QuantumCircuit,
-        initial_states,
-        *,
-        parameters=None,
-        batch: int = 1,
-        noise_model=None,
-        shots=None,
-        seed=None,
-    ) -> DensityMatrixResult:
-        model = noise_model if noise_model is not None else self.noise_model
-        simulator = self.simulator(circuit.num_qubits)
-        if initial_states is None:
-            rho = simulator.zero_state(batch)
+        prepared = [
+            self._prepare_rho(circuit, item, batch)
+            for circuit, item in zip(circuits, states)
+        ]
+        # Bindings that share one bound circuit (same structure *and*
+        # parameters — e.g. one model across many calibration days)
+        # evolve under broadcast 2-D gate matrices, the cheap vectorised
+        # regime; group them so no binding pays for per-sample matrix
+        # stacks, and a batch of all-distinct bindings degenerates to
+        # the per-binding loop instead of something slower.  A
+        # single-binding batch skips the digest bookkeeping entirely.
+        groups: dict[tuple[str, str], list[int]] = {}
+        if len(circuits) == 1:
+            groups[("", "")] = [0]
+        elif all(c is circuits[0] for c in circuits[1:]) and all(
+            p is parameter_sets[0] for p in parameter_sets[1:]
+        ):
+            # The day-sweep regime: every binding shares one physical
+            # circuit object and one parameter binding, so the whole
+            # batch is one group — skip the per-binding digests (they
+            # hash the full gate list and dominate small batches).
+            groups[("", "")] = list(range(len(circuits)))
         else:
-            rho = np.array(initial_states, dtype=self.engine.complex_dtype, copy=True)
-            if rho.ndim == 2:
-                rho = rho[None, :, :]
-            if rho.shape[-1] != simulator.dim:
-                raise SimulationError(
-                    f"initial density matrices of dimension {rho.shape[-1]} do "
-                    f"not match {circuit.num_qubits} qubits"
+            for index, (circuit, parameters) in enumerate(
+                zip(circuits, parameter_sets)
+            ):
+                key = (
+                    circuit_structure_digest(circuit),
+                    parameter_digest(circuit, parameters),
                 )
-        rho = self.engine.run_density(circuit, rho, noise_model=model, parameters=parameters)
-        return DensityMatrixResult(
-            rho=rho, num_qubits=circuit.num_qubits, noise_model=model
-        )
+                groups.setdefault(key, []).append(index)
+        results: list[Optional[DensityMatrixResult]] = [None] * len(circuits)
+        for indices in groups.values():
+            stacked = np.stack([prepared[index] for index in indices])
+            evolved = self.engine.run_density_multi(
+                [circuits[index] for index in indices],
+                stacked,
+                noise_models=[models[index] for index in indices],
+                parameter_sets=[parameter_sets[index] for index in indices],
+            )
+            for index, group in zip(indices, evolved):
+                results[index] = DensityMatrixResult(
+                    rho=group,
+                    num_qubits=circuits[index].num_qubits,
+                    noise_model=models[index],
+                )
+        return results
 
 
 # ---------------------------------------------------------------------------
-# Registry and shared defaults
+# Shared defaults
 # ---------------------------------------------------------------------------
-
-#: Accepted aliases for each backend kind.
-BACKEND_ALIASES: dict[str, str] = {
-    "statevector": "statevector",
-    "ideal": "statevector",
-    "density_matrix": "density_matrix",
-    "noisy": "density_matrix",
-    "trajectory": "trajectory",
-    "sampled": "trajectory",
-}
-
-
-def backend_kind(name: str) -> str:
-    """Resolve a backend name/alias to its canonical kind.
-
-    Raises :class:`SimulationError` for unknown names.
-    """
-    kind = BACKEND_ALIASES.get(name.lower())
-    if kind is None:
-        raise SimulationError(
-            f"unknown backend {name!r}; expected one of {sorted(BACKEND_ALIASES)}"
-        )
-    return kind
-
-
-def get_execution_backend(
-    name: str, engine: Optional[SimulationEngine] = None, **kwargs
-) -> Backend:
-    """Construct an execution backend by name.
-
-    Canonical names: ``statevector`` / ``density_matrix`` / ``trajectory``;
-    aliases: ``ideal`` -> statevector, ``noisy`` -> density_matrix,
-    ``sampled`` -> trajectory.  Extra keyword arguments go to the backend
-    constructor (e.g. ``shots`` for the trajectory backend).
-
-    Named ``get_execution_backend`` (not ``get_backend``) to stay distinct
-    from :func:`repro.calibration.get_backend`, which returns a *device
-    description* (:class:`~repro.calibration.backends.BackendSpec`), not an
-    executor.
-    """
-    kind = backend_kind(name)
-    if kind == "statevector":
-        return StatevectorBackend(engine=engine, **kwargs)
-    if kind == "density_matrix":
-        return DensityMatrixBackend(engine=engine, **kwargs)
-    return TrajectoryBackend(engine=engine, **kwargs)
-
 
 _default_statevector: Optional[StatevectorBackend] = None
 _default_density: Optional[DensityMatrixBackend] = None

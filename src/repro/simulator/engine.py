@@ -45,7 +45,6 @@ from repro.exceptions import SimulationError
 from repro.gates import CROSS_PATH_GATES, Gate
 from repro.gates.matrices import I2, SWAP
 from repro.simulator import ops
-from repro.simulator.kernels import get_kernels
 from repro.utils.lru import lru_get, lru_put
 
 # circuit_structure_digest / parameter_digest live in repro.circuits.digests
@@ -72,18 +71,16 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Precision / kernel / fusion-width defaults
+# Precision / fusion-width defaults
 # ---------------------------------------------------------------------------
 #
 # Engines resolve unset knobs from the environment so one process-level
-# switch (the CLI's ``--dtype`` / ``--kernel`` flags export these variables)
+# switch (the CLI's ``--dtype`` / ``--fusion-width`` flags export these variables)
 # reaches every engine construction site — including worker-pool children
 # and serving shard processes, which inherit the environment on spawn.
 
 #: Environment variable naming the default precision (``float64``/``float32``).
 DTYPE_ENV_VAR = "REPRO_DTYPE"
-#: Environment variable naming the default kernel suite (``numpy``/``numba``).
-KERNEL_ENV_VAR = "REPRO_KERNEL"
 #: Environment variable setting the default fusion width (``2`` or ``3``).
 FUSION_WIDTH_ENV_VAR = "REPRO_FUSION_WIDTH"
 
@@ -601,11 +598,6 @@ class SimulationEngine:
         Execution precision: ``"float64"`` (the bit-identical default) or
         ``"float32"`` (the fast tier — complex64 fused matrices and walks).
         ``None`` reads ``REPRO_DTYPE`` from the environment.
-    kernel:
-        Name of the statevector kernel suite (see
-        :mod:`repro.simulator.kernels`); ``None`` reads ``REPRO_KERNEL`` and
-        defaults to ``"numpy"``.  Only the suite *name* is stored, so
-        engines stay picklable.
     fusion_width:
         Maximum fused-block width.  The default 2 reproduces historical
         plans bit-for-bit; 3 enables cross-path absorption of
@@ -619,7 +611,6 @@ class SimulationEngine:
         max_plans: int = 128,
         fusion: bool = True,
         dtype: Union[None, str, np.dtype, type] = None,
-        kernel: Optional[str] = None,
         fusion_width: Optional[int] = None,
     ):
         if max_programs < 1 or max_plans < 1:
@@ -628,10 +619,6 @@ class SimulationEngine:
         self.max_plans = max_plans
         self.fusion = fusion
         self.dtype, self.complex_dtype = resolve_precision(dtype)
-        if kernel is None:
-            kernel = os.environ.get(KERNEL_ENV_VAR) or "numpy"
-        self.kernel = str(kernel)
-        get_kernels(self.kernel)  # fail fast on unknown suites
         if fusion_width is None:
             fusion_width = int(os.environ.get(FUSION_WIDTH_ENV_VAR, "2"))
         if fusion_width < 2:
@@ -641,11 +628,6 @@ class SimulationEngine:
         self._plans: OrderedDict[str, FusionPlan] = OrderedDict()
         self._programs: OrderedDict[tuple[str, str], CompiledProgram] = OrderedDict()
         self._bound: OrderedDict[tuple[str, str], BoundCircuit] = OrderedDict()
-
-    @property
-    def kernels(self):
-        """The engine's kernel suite, resolved lazily from its name."""
-        return get_kernels(self.kernel)
 
     # -- cache plumbing -------------------------------------------------
     @staticmethod
@@ -787,16 +769,11 @@ class SimulationEngine:
         """Stack per-binding compiled steps into multi-group steps.
 
         Returns steps consumable by
-        :func:`repro.simulator.ops.apply_compiled_statevector_multi`: when all
-        programs share one binding the original 2-D matrices are reused
-        (broadcast over groups); otherwise each step's matrix becomes a
-        ``(groups, d, d)`` stack.
+        :func:`repro.simulator.ops.apply_compiled_statevector_multi`: each
+        step's matrix becomes a ``(groups, d, d)`` stack.
         """
-        first = programs[0]
-        if all(p.parameter_key == first.parameter_key for p in programs):
-            return first.steps
         stacked = []
-        for step_index, (_, dim, perm, inverse) in enumerate(first.steps):
+        for step_index, (_, dim, perm, inverse) in enumerate(programs[0].steps):
             matrices = np.stack(
                 [program.steps[step_index][0] for program in programs]
             )
@@ -812,13 +789,11 @@ class SimulationEngine:
     ) -> np.ndarray:
         """Apply the compiled program for ``circuit`` to ``states``.
 
-        States are cast onto the engine's precision tier first (a no-op at
-        the float64 default), so a float32 engine runs the whole walk in
-        single precision regardless of the caller's allocation.
+        A one-group view of :meth:`run_statevector_multi`.
         """
-        program = self.compile(circuit, parameters)
-        states = np.asarray(states).astype(self.complex_dtype, copy=False)
-        return self.kernels.apply_program(program, states)
+        return self.run_statevector_multi(
+            [circuit], np.asarray(states)[None], [parameters]
+        )[0]
 
     def run_statevector_multi(
         self,
@@ -830,15 +805,29 @@ class SimulationEngine:
 
         ``states`` has shape ``(groups, batch, 2**n)``; group ``g`` evolves
         under ``circuits[g]`` bound with ``parameter_sets[g]``.  All circuits
-        must share one structure.  Bit-identical to calling
-        :meth:`run_statevector` once per group.
+        must share one structure.  States are cast onto the engine's
+        precision tier first (a no-op at the float64 default), so a float32
+        engine runs the whole walk in single precision regardless of the
+        caller's allocation.  Bit-identical to running
+        :func:`repro.simulator.ops.apply_compiled_statevector` once per group.
         """
         if parameter_sets is None:
             parameter_sets = [None] * len(circuits)
         programs = self.compile_many(circuits, parameter_sets)
-        steps = self.stack_programs(programs)
         states = np.asarray(states).astype(self.complex_dtype, copy=False)
-        return self.kernels.apply_program_multi(steps, states, programs[0].num_qubits)
+        first = programs[0]
+        if all(p.parameter_key == first.parameter_key for p in programs):
+            # One binding for every group (the one-group view is the common
+            # case): fold the groups into the sample batch, which runs the
+            # same per-sample matmuls without stacking any matrix.
+            groups, batch, dim = states.shape
+            folded = ops.apply_compiled_statevector(
+                states.reshape(groups * batch, dim), first.steps, first.num_qubits
+            )
+            return folded.reshape(groups, batch, dim)
+        return ops.apply_compiled_statevector_multi(
+            states, self.stack_programs(programs), first.num_qubits
+        )
 
     def run_density_multi(
         self,

@@ -16,11 +16,13 @@ differ per sample).
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.exceptions import SimulationError
+from repro.utils.lru import lru_get, lru_put
 
 
 def _check_qubits(qubits: Sequence[int], num_qubits: int) -> tuple[int, ...]:
@@ -160,10 +162,7 @@ def apply_compiled_statevector_multi(
         ginverse = (0,) + tuple(p + 1 for p in inverse)
         moved = tensor.transpose(gperm)
         flat = moved.reshape(groups, batch, dim, -1)
-        if matrices.ndim == 2:
-            flat = matrices @ flat
-        else:
-            flat = np.matmul(matrices[:, None, :, :], flat)
+        flat = np.matmul(matrices[:, None, :, :], flat)
         tensor = flat.reshape(moved.shape).transpose(ginverse)
     return tensor.reshape(groups, batch, 2**num_qubits)
 
@@ -501,6 +500,12 @@ def density_diagonal_row(
     return diag[_full_register_subindex(qubits, num_qubits)]
 
 
+#: Capacity of the shared monomial-gather cache (one ``dim**2`` int64 array
+#: per distinct lifted permutation; a circuit routed onto jakarta has 8).
+MONOMIAL_GATHER_CACHE_SIZE = 128
+_MONOMIAL_GATHERS: OrderedDict = OrderedDict()
+
+
 def density_monomial_gather(
     perm: np.ndarray,
     phases: np.ndarray,
@@ -514,13 +519,24 @@ def density_monomial_gather(
     ``rho_flat[:, gather]`` equals the gathered matrix of
     :func:`_apply_monomial_density`, and ``phase_row`` is the full-register
     phase vector (``None`` for pure permutations).
+
+    The gather depends only on the lifted permutation (the gate's
+    permutation, qubits and register width), not on its phases or on the
+    parameter binding, so it is memoised read-only and shared by every
+    bound circuit: a ``dim**2`` int64 array per monomial gate would
+    otherwise be held once per cached bound circuit.
     """
     qubits = _check_qubits(qubits, num_qubits)
     full_perm, full_phases = _monomial_full_permutation(
         perm, phases, qubits, num_qubits
     )
-    dim = full_perm.shape[0]
-    gather = (full_perm[:, None] * dim + full_perm[None, :]).ravel()
+    key = full_perm.tobytes()
+    gather = lru_get(_MONOMIAL_GATHERS, key)
+    if gather is None:
+        dim = full_perm.shape[0]
+        gather = (full_perm[:, None] * dim + full_perm[None, :]).ravel()
+        gather.setflags(write=False)
+        lru_put(_MONOMIAL_GATHERS, key, gather, MONOMIAL_GATHER_CACHE_SIZE)
     return gather, full_phases
 
 

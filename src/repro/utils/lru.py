@@ -1,8 +1,9 @@
 """A minimal thread-tolerant LRU discipline over :class:`~collections.OrderedDict`.
 
 Shared by the content-addressed caches that may be touched from runner
-worker threads (the transpiler pipeline's pass-artifact caches and
-``TranspiledCircuit``'s basis-translation memo).  Operations tolerate the
+worker threads (the transpiler pipeline's pass-artifact caches,
+``TranspiledCircuit``'s basis-translation memo and the simulator's
+process-wide monomial-gather cache).  Operations tolerate the
 benign interleavings CPython's GIL leaves possible — a key evicted between
 a ``get`` and its recency bump, or two threads evicting concurrently —
 without locking; per-entry work is tiny and the worst case is one lost
@@ -33,7 +34,10 @@ def lru_put(cache: OrderedDict, key, value, capacity: int) -> int:
     eviction statistics without re-deriving them.
     """
     cache[key] = value
-    cache.move_to_end(key)
+    try:
+        cache.move_to_end(key)
+    except KeyError:  # pragma: no cover - thread interleaving only
+        pass
     evicted = 0
     while len(cache) > capacity:
         try:

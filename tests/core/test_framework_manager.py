@@ -277,13 +277,11 @@ def test_method_requires_prepare(trained_model, short_history):
         method.parameters_for_day(short_history[0])
 
 
-def test_qucad_rejects_non_statevector_training_backend(task):
-    """The backend knob selects the training backend; only statevector works."""
-    coupling = belem_coupling()
+def test_qucad_backends_share_one_engine(task):
+    """Training runs on a statevector backend, noisy evaluation on a
+    density-matrix backend, both over the framework's own engine."""
     model = QNNModel.create(num_qubits=4, num_features=16, num_classes=4, seed=0)
-    for name in ("density_matrix", "noisy", "trajectory"):
-        with pytest.raises(RepositoryError, match="statevector"):
-            QuCAD(model, task, coupling, QuCADConfig(backend=name))
-    qucad = QuCAD(model, task, coupling, QuCADConfig(backend="ideal"))
+    qucad = QuCAD(model, task, belem_coupling(), QuCADConfig())
     assert qucad.backend.name == "statevector"
+    assert qucad.backend.engine is qucad.engine
     assert qucad.noisy_backend.engine is qucad.engine

@@ -1,14 +1,18 @@
 """The fully batched training step and the observable-diagonal cache.
 
-PR 8 reworked ``Trainer.train`` so every optimiser step is one
-``loss_and_gradient_batch`` call over the pre-encoded minibatch instead
-of an encode + per-sample forward/backward.  The rework is only allowed
-because it is *bit-identical* at float64 to the seed's loop — pinned here
-against a literal reimplementation of that loop.  The second group pins
-the ``z_diagonal`` memoisation by counting cache builds.
+Every optimiser step of ``Trainer.train`` — noise-aware or not — is one
+``loss_and_gradient_batch`` call over the pre-encoded minibatch instead of
+an encode + per-sample forward/backward.  That is only allowed because it
+is *bit-identical* at float64 to a literal per-step loop that encodes each
+minibatch itself and scores each epoch through the unbatched reference
+walk (pinned below), and because the noise-aware run consumes its rng
+stream exactly as before (pinned by a committed parameter digest).  The
+second group pins the ``z_diagonal`` memoisation by counting cache builds.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -35,8 +39,15 @@ def dataset():
     return data.train_features[:24], data.train_labels[:24]
 
 
-def _reference_training_loop(model, config, features, labels):
-    """The seed's per-step loop: encode + loss_and_gradient per minibatch."""
+#: SHA-256 of the little-endian float64 parameter vector after the seeded
+#: 2-epoch noise-aware run in ``test_noise_aware_training_digest_is_pinned``,
+#: recorded when noise-aware steps still ran one per-call loss/gradient.
+NOISE_AWARE_DIGEST = "b35b2facc9ade6493810c4df244688e03d37f924ff71513e8658571ee9273e53"
+
+
+def _reference_training_loop(references, model, config, features, labels):
+    """A literal per-step loop: encode + one-binding loss/gradient per
+    minibatch, epoch accuracy through the unbatched reference walk."""
     parameters = np.array(model.parameters, dtype=float)
     rng = ensure_rng(config.seed)
     optimizer = get_optimizer(config.optimizer, config.learning_rate)
@@ -48,16 +59,16 @@ def _reference_training_loop(model, config, features, labels):
         epoch_losses = []
         for start in range(0, num_samples, config.batch_size):
             batch_index = order[start : start + config.batch_size]
-            loss_value, gradient = model.loss_and_gradient(
+            [(loss_value, gradient)] = model.loss_and_gradient_batch(
                 features[batch_index],
                 labels[batch_index],
-                parameters=parameters,
+                [parameters],
                 loss=config.loss,
                 backend=backend,
             )
             parameters = optimizer.step(parameters, gradient)
             epoch_losses.append(loss_value)
-        logits = model.forward_ideal(features, parameters=parameters, backend=backend)
+        logits = references.ideal_logits(model, features, parameters)
         loss_history.append(float(np.mean(epoch_losses)))
         accuracy_history.append(accuracy(logits, labels))
     return parameters, loss_history, accuracy_history
@@ -65,14 +76,14 @@ def _reference_training_loop(model, config, features, labels):
 
 class TestBatchedStepBitIdentity:
     @pytest.mark.parametrize("shuffle", [True, False])
-    def test_train_bitmatches_reference_loop(self, dataset, shuffle):
+    def test_train_bitmatches_reference_loop(self, references, dataset, shuffle):
         features, labels = dataset
         config = TrainConfig(
             epochs=2, batch_size=8, learning_rate=0.05, seed=7, shuffle=shuffle
         )
         model = QNNModel.create(4, 16, 4, repeats=1, seed=3)
         expected_parameters, expected_losses, expected_accuracy = (
-            _reference_training_loop(model, config, features, labels)
+            _reference_training_loop(references, model, config, features, labels)
         )
         trainer = Trainer(
             model, config, backend=StatevectorBackend(engine=SimulationEngine())
@@ -82,13 +93,13 @@ class TestBatchedStepBitIdentity:
         assert result.loss_history == expected_losses
         assert result.accuracy_history == expected_accuracy
 
-    def test_uneven_final_minibatch(self, dataset):
+    def test_uneven_final_minibatch(self, references, dataset):
         """A trailing partial batch slices the pre-encoded set correctly."""
         features, labels = dataset
         config = TrainConfig(epochs=1, batch_size=7, seed=5)
         model = QNNModel.create(4, 16, 4, repeats=1, seed=4)
         expected_parameters, expected_losses, _ = _reference_training_loop(
-            model, config, features, labels
+            references, model, config, features, labels
         )
         result = Trainer(
             model, config, backend=StatevectorBackend(engine=SimulationEngine())
@@ -97,7 +108,7 @@ class TestBatchedStepBitIdentity:
         assert result.loss_history == expected_losses
 
     def test_noise_injected_path_reproducible(self, dataset):
-        """The injector path (per-call fallback) stays seed-reproducible."""
+        """The noise-aware batched step stays seed-reproducible."""
         features, labels = dataset
         config = TrainConfig(epochs=1, batch_size=8, seed=9)
         injector = NoiseInjector(attenuation=np.full(4, 0.9), sigma=0.02)
@@ -109,6 +120,21 @@ class TestBatchedStepBitIdentity:
         )
         assert np.array_equal(first.parameters, second.parameters)
         assert first.loss_history == second.loss_history
+
+    def test_noise_aware_training_digest_is_pinned(self, dataset):
+        """Noise-aware training draws its jitter inside the batched step in
+        the order the earlier per-call step drew it: the trained parameters
+        match the digest recorded from the per-call implementation."""
+        features, labels = dataset
+        config = TrainConfig(epochs=2, batch_size=8, learning_rate=0.05, seed=9)
+        injector = NoiseInjector(attenuation=np.array([0.82, 0.88, 0.91, 0.95]), sigma=0.03)
+        result = Trainer(
+            QNNModel.create(4, 16, 4, repeats=1, seed=6),
+            config,
+            backend=StatevectorBackend(engine=SimulationEngine()),
+        ).train(features, labels, noise_injector=injector, update_model=False)
+        parameters = np.ascontiguousarray(result.parameters, dtype="<f8")
+        assert hashlib.sha256(parameters.tobytes()).hexdigest() == NOISE_AWARE_DIGEST
 
     def test_float32_batched_step_tracks_float64(self, dataset):
         """One batched loss/gradient step in the fast tier stays within

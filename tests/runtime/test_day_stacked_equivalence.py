@@ -2,16 +2,18 @@
 
 The day-stacked kernels (one fused walk over a ``(days, dim, dim)`` stack
 of density matrices, per-gate noise strengths carried as per-day vectors)
-are only allowed to exist because they are **bit-identical** to the
-per-binding loop.  These tests pin that contract with hypothesis across:
+are only allowed to exist because they are **bit-identical** to a
+per-binding walk.  The single-binding APIs are views of the batch APIs, so
+the references are the unbatched building blocks (the ``references``
+fixture in ``tests/conftest.py``).  These tests pin that contract with
+hypothesis across:
 
 * randomly drawn devices, drift scenarios, day counts, and parameter
-  vectors (density backend);
-* shared and distinct parameter bindings (statevector backend);
-* backend-level, explicit, and mixed per-binding seed streams
-  (trajectory backend);
-* the full evaluation path (``evaluate_noisy_batch`` vs a
-  ``evaluate_noisy`` loop).
+  vectors (density backend vs ``DensityMatrixSimulator.run``);
+* shared and distinct parameter bindings (statevector backend vs
+  ``ops.apply_compiled_statevector``);
+* the full evaluation path (``evaluate_noisy_batch`` vs per-day logits
+  rebuilt from the simulator walk), plus its one-binding view.
 
 Everything asserts with ``np.array_equal`` — no tolerances.
 """
@@ -31,7 +33,6 @@ from repro.simulator import (
     NoiseModel,
     SimulationEngine,
     StatevectorBackend,
-    TrajectoryBackend,
 )
 from repro.transpiler import get_device_coupling, transpile
 
@@ -68,10 +69,10 @@ def _physical_circuit(device: str, parameters_seed: int, history):
     parameters_seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
 def test_density_day_stack_bitmatches_per_day_loop(
-    device, scenario_name, num_days, drift_seed, parameters_seed
+    references, device, scenario_name, num_days, drift_seed, parameters_seed
 ):
     """One bound circuit × a scenario-rendered noise history: the stacked
-    walk must reproduce the per-day loop bit for bit."""
+    walk must reproduce the per-day simulator walk bit for bit."""
     history = get_scenario(scenario_name).history(device, num_days, seed=drift_seed)
     noise_models = [NoiseModel.from_calibration(s) for s in history]
     physical = _physical_circuit(device, parameters_seed, history)
@@ -79,7 +80,7 @@ def test_density_day_stack_bitmatches_per_day_loop(
 
     batched = backend.execute_batch(physical, noise_models=noise_models, batch=2)
     for model, result in zip(noise_models, batched):
-        reference = backend.execute(physical, noise_model=model, batch=2)
+        reference = references.density(physical, model, batch=2)
         assert np.array_equal(result.rho, reference.rho)
         assert np.array_equal(
             result.expectation_z(list(range(4))),
@@ -96,7 +97,7 @@ def test_density_day_stack_bitmatches_per_day_loop(
     shared=st.booleans(),
 )
 def test_density_explicit_parameter_sets_bitmatch_loop(
-    scenario_name, num_days, drift_seed, parameters_seed, shared
+    references, scenario_name, num_days, drift_seed, parameters_seed, shared
 ):
     """Explicit ``parameter_sets`` — one shared vector (the stacked fast
     path) or distinct vectors (the grouped fallback) — both bit-match."""
@@ -118,8 +119,8 @@ def test_density_explicit_parameter_sets_bitmatch_loop(
         ansatz, parameter_sets, noise_models=noise_models, batch=2
     )
     for parameters, model, result in zip(parameter_sets, noise_models, batched):
-        reference = backend.execute(
-            ansatz, parameters=parameters, noise_model=model, batch=2
+        reference = references.density(
+            ansatz.bind_parameters(parameters), model, batch=2
         )
         assert np.array_equal(result.rho, reference.rho)
 
@@ -130,7 +131,7 @@ def test_density_explicit_parameter_sets_bitmatch_loop(
     count=st.integers(min_value=2, max_value=5),
     shared=st.booleans(),
 )
-def test_statevector_batch_bitmatches_loop(parameters_seed, count, shared):
+def test_statevector_batch_bitmatches_loop(references, parameters_seed, count, shared):
     ansatz = build_qucad_ansatz(4, repeats=1)
     rng = np.random.default_rng(parameters_seed)
     if shared:
@@ -146,49 +147,8 @@ def test_statevector_batch_bitmatches_loop(parameters_seed, count, shared):
 
     batched = backend.execute_batch(ansatz, parameter_sets, initial)
     for parameters, result in zip(parameter_sets, batched):
-        reference = backend.execute(ansatz, initial, parameters=parameters)
-        assert np.array_equal(result.states, reference.states)
-
-
-@settings(**COMMON)
-@given(
-    stream_seed=st.integers(min_value=0, max_value=2**31 - 1),
-    parameters_seed=st.integers(min_value=0, max_value=2**31 - 1),
-    count=st.integers(min_value=2, max_value=4),
-    explicit=st.lists(
-        st.one_of(st.none(), st.integers(min_value=0, max_value=2**31 - 1)),
-        min_size=4,
-        max_size=4,
-    ),
-)
-def test_trajectory_seed_streams_match_per_call_loop(
-    stream_seed, parameters_seed, count, explicit
-):
-    """Per-binding trajectory seed streams: an explicit seed wins, a ``None``
-    draws the next child seed from the backend stream *in binding order* —
-    exactly like the equivalent sequence of single ``execute`` calls on a
-    fresh backend seeded the same way."""
-    ansatz = build_qucad_ansatz(3, repeats=1)
-    rng = np.random.default_rng(parameters_seed)
-    parameter_sets = [
-        rng.uniform(-np.pi, np.pi, ansatz.num_parameters) for _ in range(count)
-    ]
-    seeds = explicit[:count]
-
-    batched_backend = TrajectoryBackend(
-        engine=SimulationEngine(), shots=64, seed=stream_seed
-    )
-    loop_backend = TrajectoryBackend(
-        engine=SimulationEngine(), shots=64, seed=stream_seed
-    )
-    batched = batched_backend.execute_batch(ansatz, parameter_sets, seeds=seeds)
-    for parameters, seed, result in zip(parameter_sets, seeds, batched):
-        reference = loop_backend.execute(ansatz, parameters=parameters, seed=seed)
-        assert np.array_equal(result.states, reference.states)
-        assert np.array_equal(result.probabilities(), reference.probabilities())
-        assert np.array_equal(
-            result.expectation_z([0, 1]), reference.expectation_z([0, 1])
-        )
+        reference = references.statevector(ansatz, initial, parameters)
+        assert np.array_equal(result.states, reference)
 
 
 @pytest.fixture(scope="module")
@@ -208,9 +168,10 @@ def bound_model():
     return model, features, labels, noise_models
 
 
-def test_full_path_day_sweep_bitmatches_evaluate_noisy_loop(bound_model):
+def test_full_path_day_sweep_bitmatches_evaluate_noisy_loop(references, bound_model):
     """``evaluate_noisy_batch`` over a shared binding (the day-stacked
-    regime the runner drives) returns the exact per-day logits."""
+    regime the runner drives) returns the exact per-day logits, and so does
+    its one-binding view ``evaluate_noisy``."""
     model, features, labels, noise_models = bound_model
     shared = np.asarray(model.parameters, dtype=float)
     batched = evaluate_noisy_batch(
@@ -223,7 +184,11 @@ def test_full_path_day_sweep_bitmatches_evaluate_noisy_loop(bound_model):
         seeds=list(range(len(noise_models))),
     )
     for index, (noise_model, result) in enumerate(zip(noise_models, batched)):
-        reference = evaluate_noisy(
+        reference = references.noisy_logits(
+            model, features, noise_model, shared, shots=128, seed=index
+        )
+        assert np.array_equal(result.logits, reference)
+        single = evaluate_noisy(
             model,
             features,
             labels,
@@ -232,14 +197,14 @@ def test_full_path_day_sweep_bitmatches_evaluate_noisy_loop(bound_model):
             shots=128,
             seed=index,
         )
-        assert np.array_equal(result.logits, reference.logits)
-        assert result.accuracy == reference.accuracy
+        assert np.array_equal(single.logits, reference)
+        assert result.accuracy == single.accuracy
 
 
-def test_full_path_exact_expectations_bitmatch(bound_model):
+def test_full_path_exact_expectations_bitmatch(references, bound_model):
     """Same contract without shot sampling (exact expectation values)."""
     model, features, labels, noise_models = bound_model
     batched = evaluate_noisy_batch(model, features, labels, noise_models)
     for noise_model, result in zip(noise_models, batched):
-        reference = evaluate_noisy(model, features, labels, noise_model)
-        assert np.array_equal(result.logits, reference.logits)
+        reference = references.noisy_logits(model, features, noise_model)
+        assert np.array_equal(result.logits, reference)

@@ -19,7 +19,6 @@ from repro.simulator import (
     NoiseModel,
     SimulationEngine,
     StatevectorBackend,
-    TrajectoryBackend,
 )
 from repro.transpiler import belem_coupling, transpile
 
@@ -87,15 +86,6 @@ def test_noisy_density_paths(tier, workload):
     )
     for item in batched:
         assert item.rho.dtype == COMPLEX_OF[tier]
-
-
-def test_trajectory_paths(tier, workload):
-    ansatz, theta, thetas = workload
-    backend = TrajectoryBackend(engine=SimulationEngine(dtype=tier), shots=64, seed=2)
-    result = backend.execute(ansatz, parameters=theta)
-    assert result.states.dtype == COMPLEX_OF[tier]
-    for item in backend.execute_batch(ansatz, thetas):
-        assert item.states.dtype == COMPLEX_OF[tier]
 
 
 def test_multi_group_walks(tier, workload):

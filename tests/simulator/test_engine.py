@@ -12,11 +12,9 @@ from repro.simulator import (
     SimulationEngine,
     StatevectorBackend,
     StatevectorSimulator,
-    TrajectoryBackend,
     build_fusion_plan,
     circuit_structure_digest,
     default_engine,
-    get_execution_backend,
     parameter_digest,
 )
 from repro.simulator.noise_model import NoiseModel
@@ -246,23 +244,6 @@ class TestBackends:
         result = DensityMatrixBackend().execute(bound, noise_model=noise, batch=2)
         np.testing.assert_allclose(result.rho, expected, atol=1e-12)
 
-    def test_trajectory_backend_converges_to_exact(self):
-        rng = np.random.default_rng(14)
-        ansatz = build_qucad_ansatz(3, 1)
-        theta = rng.uniform(-np.pi, np.pi, ansatz.num_parameters)
-        engine = SimulationEngine()
-        exact = StatevectorBackend(engine=engine).execute(
-            ansatz, parameters=theta, batch=2
-        )
-        sampled = TrajectoryBackend(engine=engine, shots=200_000, seed=1).execute(
-            ansatz, parameters=theta, batch=2
-        )
-        np.testing.assert_allclose(
-            sampled.expectation_z([0, 1]), exact.expectation_z([0, 1]), atol=0.02
-        )
-        # Sampled frequencies are cached: identical across queries.
-        np.testing.assert_array_equal(sampled.probabilities(), sampled.probabilities())
-
     def test_backend_list_dispatch(self):
         rng = np.random.default_rng(15)
         ansatz = build_qucad_ansatz(2, 1)
@@ -280,30 +261,6 @@ class TestBackends:
         noise = NoiseModel.ideal(2)
         with pytest.raises(SimulationError):
             StatevectorBackend().execute(ansatz, noise_model=noise)
-
-    def test_get_execution_backend_aliases(self):
-        engine = SimulationEngine()
-        assert get_execution_backend("ideal", engine=engine).name == "statevector"
-        assert get_execution_backend("noisy", engine=engine).name == "density_matrix"
-        assert (
-            get_execution_backend("sampled", engine=engine, shots=16).name
-            == "trajectory"
-        )
-        with pytest.raises(SimulationError):
-            get_execution_backend("quantum_annealer")
-
-    def test_trajectory_backend_draws_fresh_noise_per_call(self):
-        # A backend-level seed must give each execute an independent shot
-        # realization while keeping the whole sequence reproducible.
-        ansatz = build_qucad_ansatz(2, 1)
-        theta = np.linspace(-1.0, 1.0, ansatz.num_parameters)
-        backend_a = TrajectoryBackend(shots=64, seed=5)
-        first = backend_a.execute(ansatz, parameters=theta, batch=1).probabilities()
-        second = backend_a.execute(ansatz, parameters=theta, batch=1).probabilities()
-        assert np.abs(first - second).max() > 0  # fresh noise per call
-        backend_b = TrajectoryBackend(shots=64, seed=5)
-        replay = backend_b.execute(ansatz, parameters=theta, batch=1).probabilities()
-        np.testing.assert_array_equal(first, replay)  # sequence reproducible
 
     def test_trainable_flag_distinguishes_cached_bound_circuits(self):
         # Two circuits with identical structure and angles but different
@@ -381,3 +338,13 @@ class TestRotationStack:
         matrices = np.stack([GATE_REGISTRY["rx"].matrix_fn(float(a)) for a in angles])
         expected = ops.apply_unitary_density(rho, matrices, [0], 2)
         np.testing.assert_allclose(out, expected, atol=1e-12)
+
+
+def test_engine_stays_picklable():
+    """Worker pools and shard processes receive engines by pickle."""
+    import pickle
+
+    engine = SimulationEngine(dtype="float32", fusion_width=3)
+    clone = pickle.loads(pickle.dumps(engine))
+    assert clone.complex_dtype == np.dtype(np.complex64)
+    assert clone.fusion_width == 3

@@ -1,10 +1,10 @@
-"""Batch/loop equivalence of ``Backend.execute_batch`` on every backend.
+"""Batch/reference equivalence of ``Backend.execute_batch`` on every backend.
 
-The vectorised paths are only allowed to exist because they are
-bit-identical to the per-binding loop fallback; these tests pin that
-contract (``np.array_equal``, not ``allclose``) for the statevector and
-density-matrix backends, and pin seed-reproducibility plus per-binding
-stream independence for the trajectory backend.
+``execute_batch`` is the only execution path (``execute`` is a one-binding
+view of it), so each binding is pinned (``np.array_equal``, not
+``allclose``) against the unbatched per-binding references of the
+``references`` fixture: the compiled statevector walk and the per-gate
+density-matrix simulator.
 """
 
 from __future__ import annotations
@@ -16,10 +16,10 @@ from repro.calibration import generate_belem_history
 from repro.circuits import build_qucad_ansatz
 from repro.simulator import (
     DensityMatrixBackend,
+    ops,
     NoiseModel,
     SimulationEngine,
     StatevectorBackend,
-    TrajectoryBackend,
 )
 from repro.transpiler import belem_coupling, transpile
 
@@ -36,25 +36,28 @@ def bindings():
     return ansatz, parameter_sets, initial
 
 
-def test_statevector_batch_bitmatches_loop(bindings):
+def test_statevector_batch_bitmatches_loop(references, bindings):
     ansatz, parameter_sets, initial = bindings
     backend = StatevectorBackend(engine=SimulationEngine())
     batched = backend.execute_batch(ansatz, parameter_sets, initial)
     for parameters, result in zip(parameter_sets, batched):
-        reference = backend.execute(ansatz, initial, parameters=parameters)
-        assert np.array_equal(result.states, reference.states)
+        reference = references.statevector(ansatz, initial, parameters)
+        assert np.array_equal(result.states, reference)
+        # The one-binding view runs the same path.
+        single = backend.execute(ansatz, initial, parameters=parameters)
+        assert np.array_equal(single.states, reference)
 
 
-def test_statevector_batch_shared_binding(bindings):
+def test_statevector_batch_shared_binding(references, bindings):
     ansatz, parameter_sets, initial = bindings
     backend = StatevectorBackend(engine=SimulationEngine())
     batched = backend.execute_batch(ansatz, [parameter_sets[0]] * 3, initial)
-    reference = backend.execute(ansatz, initial, parameters=parameter_sets[0])
+    reference = references.statevector(ansatz, initial, parameter_sets[0])
     for result in batched:
-        assert np.array_equal(result.states, reference.states)
+        assert np.array_equal(result.states, reference)
 
 
-def test_statevector_batch_heterogeneous_structures_fall_back(bindings):
+def test_statevector_batch_heterogeneous_structures_fall_back(references, bindings):
     ansatz, parameter_sets, initial = bindings
     other = build_qucad_ansatz(4, repeats=2)
     other_parameters = np.linspace(-1.0, 1.0, other.num_parameters)
@@ -62,13 +65,13 @@ def test_statevector_batch_heterogeneous_structures_fall_back(bindings):
     batched = backend.execute_batch(
         [ansatz, other], [parameter_sets[0], other_parameters], initial
     )
-    ref_a = backend.execute(ansatz, initial, parameters=parameter_sets[0])
-    ref_b = backend.execute(other, initial, parameters=other_parameters)
-    assert np.array_equal(batched[0].states, ref_a.states)
-    assert np.array_equal(batched[1].states, ref_b.states)
+    ref_a = references.statevector(ansatz, initial, parameter_sets[0])
+    ref_b = references.statevector(other, initial, other_parameters)
+    assert np.array_equal(batched[0].states, ref_a)
+    assert np.array_equal(batched[1].states, ref_b)
 
 
-def test_density_batch_bitmatches_loop_across_noise_models(bindings):
+def test_density_batch_bitmatches_loop_across_noise_models(references, bindings):
     ansatz, parameter_sets, _ = bindings
     history = generate_belem_history(len(parameter_sets), seed=5)
     noise_models = [NoiseModel.from_calibration(s) for s in history]
@@ -77,7 +80,7 @@ def test_density_batch_bitmatches_loop_across_noise_models(bindings):
     backend = DensityMatrixBackend(engine=SimulationEngine())
     batched = backend.execute_batch(physical, noise_models=noise_models, batch=3)
     for circuit, model, result in zip(physical, noise_models, batched):
-        reference = backend.execute(circuit, noise_model=model, batch=3)
+        reference = references.density(circuit, model, batch=3)
         assert np.array_equal(result.rho, reference.rho)
         # Per-binding readout confusion must survive the batched path.
         assert np.array_equal(
@@ -85,7 +88,7 @@ def test_density_batch_bitmatches_loop_across_noise_models(bindings):
         )
 
 
-def test_density_batch_same_parameters_many_days(bindings):
+def test_density_batch_same_parameters_many_days(references, bindings):
     """The accuracy-over-days shape: one binding, many noise models."""
     ansatz, parameter_sets, _ = bindings
     history = generate_belem_history(4, seed=6)
@@ -95,49 +98,24 @@ def test_density_batch_same_parameters_many_days(bindings):
     backend = DensityMatrixBackend(engine=SimulationEngine())
     batched = backend.execute_batch(physical, noise_models=noise_models, batch=2)
     for model, result in zip(noise_models, batched):
-        reference = backend.execute(physical, noise_model=model, batch=2)
+        reference = references.density(physical, model, batch=2)
         assert np.array_equal(result.rho, reference.rho)
+        single = backend.execute(physical, noise_model=model, batch=2)
+        assert np.array_equal(single.rho, reference.rho)
 
 
 def test_density_batch_noise_free(bindings):
+    """Noise-free bindings walk the fused program: pin each against the
+    fused per-binding density walk."""
     ansatz, parameter_sets, _ = bindings
-    backend = DensityMatrixBackend(engine=SimulationEngine())
+    engine = SimulationEngine()
+    backend = DensityMatrixBackend(engine=engine)
     batched = backend.execute_batch(ansatz, parameter_sets, batch=2)
+    zero = backend.simulator(ansatz.num_qubits).zero_state(2)
     for parameters, result in zip(parameter_sets, batched):
-        reference = backend.execute(ansatz, parameters=parameters, batch=2)
-        assert np.array_equal(result.rho, reference.rho)
-
-
-def test_trajectory_batch_consumes_backend_stream_like_loop(bindings):
-    ansatz, parameter_sets, initial = bindings
-    batched_backend = TrajectoryBackend(engine=SimulationEngine(), shots=128, seed=99)
-    loop_backend = TrajectoryBackend(engine=SimulationEngine(), shots=128, seed=99)
-    batched = batched_backend.execute_batch(ansatz, parameter_sets, initial)
-    for parameters, result in zip(parameter_sets, batched):
-        reference = loop_backend.execute(ansatz, initial, parameters=parameters)
-        assert np.array_equal(result.probabilities(), reference.probabilities())
-        assert np.array_equal(
-            result.expectation_z([0, 1]), reference.expectation_z([0, 1])
-        )
-
-
-def test_trajectory_batch_items_draw_independent_streams(bindings):
-    ansatz, parameter_sets, initial = bindings
-    backend = TrajectoryBackend(engine=SimulationEngine(), shots=64, seed=3)
-    results = backend.execute_batch(ansatz, [parameter_sets[0]] * 2, initial)
-    # Same binding, same ideal states — different shot noise per item.
-    assert np.array_equal(results[0].states, results[1].states)
-    assert not np.array_equal(results[0].probabilities(), results[1].probabilities())
-
-
-def test_trajectory_batch_explicit_seeds_reproduce(bindings):
-    ansatz, parameter_sets, initial = bindings
-    backend = TrajectoryBackend(engine=SimulationEngine(), shots=64, seed=3)
-    seeds = [11, 22, 33, 44, 55]
-    first = backend.execute_batch(ansatz, parameter_sets, initial, seeds=seeds)
-    second = backend.execute_batch(ansatz, parameter_sets, initial, seeds=seeds)
-    for a, b in zip(first, second):
-        assert np.array_equal(a.probabilities(), b.probabilities())
+        program = engine.compile(ansatz, parameters)
+        reference = ops.apply_fused_density(zero, program.operations, ansatz.num_qubits)
+        assert np.array_equal(result.rho, reference)
 
 
 def test_execute_batch_rejects_mismatched_lengths(bindings):

@@ -4,8 +4,8 @@ The fast tier trades precision for throughput: fused matrices materialise
 as ``complex64`` and every walk runs in single precision.  It is only
 allowed to exist because it tracks the float64 reference within explicit
 tolerances on every backend — these tests pin those tolerances (atol
-pins, not loose allclose defaults) across the statevector, density-matrix
-and trajectory backends, across devices (belem, jakarta), and across
+pins, not loose allclose defaults) across the statevector and
+density-matrix backends, across devices (belem, jakarta), and across
 drift scenarios, plus a hypothesis sweep over random circuits.  A second
 group pins that float64 stays the *bit-identical* default: constructing
 an engine with ``dtype="float64"`` changes nothing.
@@ -31,7 +31,6 @@ from repro.simulator import (
     NoiseModel,
     SimulationEngine,
     StatevectorBackend,
-    TrajectoryBackend,
     resolve_precision,
 )
 from repro.transpiler import belem_coupling, jakarta_coupling, transpile
@@ -217,35 +216,6 @@ class TestFloat32Density:
             np.testing.assert_allclose(
                 fast_day.rho, exact_day.rho, atol=DENSITY_ATOL
             )
-
-
-class TestFloat32Trajectory:
-    def test_sampled_expectations_match_at_equal_seed(self):
-        """Same seed, same shots: the sampled counts agree across tiers.
-
-        Shot sampling draws from probabilities that differ only at the
-        float32 epsilon, so with a shared stream the multinomial draws
-        coincide and the sampled expectations are equal (the probabilities
-        themselves are pinned to the tolerance band).
-        """
-        rng = np.random.default_rng(41)
-        ansatz = build_qucad_ansatz(4, repeats=2)
-        theta = rng.uniform(-np.pi, np.pi, ansatz.num_parameters)
-        states = _random_states(rng, 4, 4)
-        exact = TrajectoryBackend(engine=SimulationEngine(), shots=4096, seed=7).execute(
-            ansatz, states, parameters=theta
-        )
-        fast = TrajectoryBackend(
-            engine=SimulationEngine(dtype="float32"), shots=4096, seed=7
-        ).execute(ansatz, states, parameters=theta)
-        np.testing.assert_allclose(
-            fast.probabilities(), exact.probabilities(), atol=DENSITY_ATOL
-        )
-        np.testing.assert_allclose(
-            fast.expectation_z([0, 1]),
-            exact.expectation_z([0, 1]),
-            atol=EXPECTATION_ATOL,
-        )
 
 
 class TestFloat32Model:
