@@ -4,7 +4,7 @@ One front door for every reproduction harness::
 
     python -m repro.experiments fig2 --scale bench
     python -m repro.experiments table1 --scale test --json out.json
-    python -m repro.experiments fig7 --runner-mode process --workers 8 \
+    python -m repro.experiments fig7 --runner-mode pool --workers 8 \
         --records runs.jsonl
     python -m repro.experiments longitudinal --device ring_5
     python -m repro.experiments serve --requests 256 --max-batch 16
@@ -270,9 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--runner-mode",
         choices=RUNNER_MODES,
         default=None,
-        help="evaluation fan-out mode (default: thread; fleet cells default "
-        "to serial); 'pool' keeps a persistent process pool of warm workers "
-        "across evaluate_days calls",
+        help="evaluation mode (default: serial, in-process on one warm "
+        "engine); 'pool' fans day chunks out over a persistent pool of warm "
+        "worker processes",
     )
     parser.add_argument(
         "--workers", type=int, default=None, help="worker-pool width"
@@ -461,7 +461,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         set_default_engine(SimulationEngine())
     scale = SCALES[args.scale]
     runner = ExperimentRunner(
-        mode=args.runner_mode or "thread",
+        mode=args.runner_mode or "serial",
         max_workers=args.workers,
         chunk_days=args.chunk_days,
         cache=args.cache,

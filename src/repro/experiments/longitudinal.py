@@ -121,7 +121,8 @@ def run_longitudinal(
         Measurement shots per evaluation; defaults to the scale's setting.
     runner:
         Evaluation runner; defaults to :func:`repro.runtime.default_runner`
-        (configurable via ``REPRO_RUNNER_MODE`` / ``REPRO_RUNNER_WORKERS``).
+        (a ``serial`` runner); pass ``ExperimentRunner(mode="pool")`` to fan
+        day chunks out over worker processes.
     """
     online = setup.online_history
     if num_days is not None:

@@ -4,9 +4,9 @@ This package is the execution layer *above* the simulator: where
 :mod:`repro.simulator` makes one circuit cheap and
 :mod:`repro.qnn.evaluation` makes one day cheap, the runtime makes whole
 experiments cheap — it chunks per-day evaluations into vectorised
-multi-binding backend calls, fans the chunks out over worker pools, caches
-(model, day, subset) results by content digest, and persists run records
-as JSONL artifacts.  Every experiment harness under
+multi-binding backend calls, fans the chunks out over a supervised worker
+pool, caches (model, day, subset) results by content digest, and persists
+run records as JSONL artifacts.  Every experiment harness under
 :mod:`repro.experiments` drives its day loops through
 :class:`ExperimentRunner`.
 """
@@ -33,12 +33,12 @@ from repro.runtime.runner import (
     default_runner,
 )
 from repro.runtime.workers import (
+    ActorGroup,
+    ActorStats,
     SharedArrayStore,
     WorkerPool,
-    WorkerPoolStats,
     actor_main,
     attach_shared_array,
-    spawn_actor,
 )
 
 __all__ = [
@@ -46,12 +46,12 @@ __all__ = [
     "RunnerStats",
     "RUNNER_MODES",
     "default_runner",
+    "ActorGroup",
+    "ActorStats",
     "SharedArrayStore",
     "WorkerPool",
-    "WorkerPoolStats",
     "actor_main",
     "attach_shared_array",
-    "spawn_actor",
     "DEFAULT_CACHE_CAPACITY",
     "EvaluationCache",
     "RunRecord",

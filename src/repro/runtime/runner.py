@@ -7,9 +7,9 @@ noise model on one eval subset*.  :class:`ExperimentRunner` owns that loop:
 * days are grouped into chunks and each chunk is evaluated as **one**
   vectorised multi-binding backend call
   (:func:`repro.qnn.evaluation.evaluate_noisy_batch`);
-* chunks fan out over a ``concurrent.futures`` thread or process pool, each
-  worker owning its own :class:`~repro.simulator.SimulationEngine` (the
-  engine is not thread-safe, so workers never share one);
+* chunks run in the calling process (``serial``) or fan out over a
+  persistent :class:`~repro.runtime.workers.WorkerPool` (``pool``), each
+  worker owning its own warm :class:`~repro.simulator.SimulationEngine`;
 * results are keyed by content digests in an
   :class:`~repro.runtime.cache.EvaluationCache`, so repeated sweeps over
   the same (model, day, subset) triples skip simulation entirely;
@@ -18,16 +18,15 @@ noise model on one eval subset*.  :class:`ExperimentRunner` owns that loop:
 
 Chunking, pooling, and caching never change numbers: each day's result is
 bit-identical to a standalone :func:`repro.qnn.evaluation.evaluate_noisy`
-call with the same seed.
+call with the same seed, in either mode.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -45,7 +44,7 @@ from repro.runtime.records import PathLike, RunRecord, RunRecordLog
 from repro.simulator import DensityMatrixBackend, NoiseModel, SimulationEngine
 
 #: Runner execution modes.
-RUNNER_MODES = ("serial", "thread", "process", "pool")
+RUNNER_MODES = ("serial", "pool")
 
 
 def _evaluate_chunk(
@@ -57,19 +56,15 @@ def _evaluate_chunk(
     shots: Optional[int],
     seeds: Sequence,
     max_batch_bytes: int,
-    backend: Optional[DensityMatrixBackend] = None,
+    backend: DensityMatrixBackend,
 ) -> tuple[list[float], float]:
-    """Worker body: evaluate one chunk of days on a private engine.
+    """Evaluate one chunk of days on ``backend``; returns ``(accuracies, seconds)``.
 
-    Module-level (not a closure) so the process pool can pickle it.  When
-    no ``backend`` is supplied each invocation builds its own over a fresh
-    engine — pool workers never share compilation caches, which keeps the
-    engine's thread-unsafety out of the pool.  Serial execution passes the
-    runner's long-lived backend instead so compiled circuits stay warm
-    across chunks and calls, like the pre-runtime sequential path.
+    Serial execution passes the runner's long-lived backend and each pool
+    worker passes its own per-model one, so compiled circuits stay warm
+    across chunks and calls (the engine is not thread-safe, so no two
+    callers share one).
     """
-    if backend is None:
-        backend = DensityMatrixBackend(engine=SimulationEngine())
     start = time.perf_counter()
     results = evaluate_noisy_batch(
         model,
@@ -103,14 +98,11 @@ class ExperimentRunner:
     Parameters
     ----------
     mode:
-        ``"serial"`` (in-process, deterministic ordering), ``"thread"``
-        (default; NumPy's BLAS kernels release the GIL, and each worker owns
-        a private engine), ``"process"`` (full isolation; a fresh pool and
-        re-pickled inputs per call), or ``"pool"`` (a persistent
-        :class:`~repro.runtime.workers.WorkerPool`: long-lived workers that
-        keep compiled engines warm across ``evaluate_days`` calls and
-        receive the eval subset via shared memory — the fast path for
-        longitudinal sweeps; call :meth:`close` when done).
+        ``"serial"`` (default; in-process on one warm engine) or ``"pool"``
+        (a persistent :class:`~repro.runtime.workers.WorkerPool`: long-lived
+        workers that keep compiled engines warm across ``evaluate_days``
+        calls and receive the eval subset via shared memory; call
+        :meth:`close` when done).
     max_workers:
         Pool width; defaults to ``min(4, cpu_count)``.
     chunk_days:
@@ -127,7 +119,7 @@ class ExperimentRunner:
 
     def __init__(
         self,
-        mode: str = "thread",
+        mode: str = "serial",
         max_workers: Optional[int] = None,
         chunk_days: int = 16,
         cache: Union[EvaluationCache, PathLike, None] = None,
@@ -149,8 +141,8 @@ class ExperimentRunner:
             record_log = RunRecordLog(record_log)
         self.record_log = record_log
         self.stats = RunnerStats()
-        # Long-lived backend for single-threaded execution; pool workers
-        # build their own (the engine is not thread-safe).
+        # Long-lived backend for serial execution; pool workers build
+        # their own (the engine is not thread-safe).
         self._serial_backend: Optional[DensityMatrixBackend] = None
         # Persistent worker pool for ``pool`` mode, created on first use and
         # reused across evaluate_days calls.
@@ -172,7 +164,7 @@ class ExperimentRunner:
     def close(self) -> None:
         """Release pooled resources (persistent workers, shared memory).
 
-        Only ``pool`` mode holds any; for the other modes this is a no-op.
+        Only ``pool`` mode holds any; in ``serial`` mode this is a no-op.
         """
         if self._pool is not None:
             self._pool.close()
@@ -183,41 +175,6 @@ class ExperimentRunner:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    # ------------------------------------------------------------------
-    def _executor(self):
-        if self.mode == "thread":
-            return ThreadPoolExecutor(max_workers=self.max_workers)
-        return ProcessPoolExecutor(max_workers=self.max_workers)
-
-    def map(self, fn: Callable, items: Sequence) -> list:
-        """Order-preserving pool map (serial in ``serial`` mode)."""
-        if self.mode == "serial" or len(items) <= 1:
-            return [fn(item) for item in items]
-        return self._fan_out([(fn, item) for item in items])
-
-    def _fan_out(self, submissions: Sequence[tuple]) -> list:
-        """Submit ``(fn, *args)`` tuples to the pool; collect results in order.
-
-        Graceful shutdown contract: if collection is interrupted
-        (``KeyboardInterrupt``) or any task fails, every not-yet-started
-        task is cancelled, tasks already running are *drained* (the pool
-        shuts down with ``wait=True``), and the exception propagates — so a
-        Ctrl-C leaves no orphaned worker threads/processes behind and never
-        kills a chunk mid-write.
-        """
-        pool = self._executor()
-        futures = []
-        try:
-            futures = [pool.submit(fn, *args) for fn, *args in submissions]
-            results = [future.result() for future in futures]
-        except BaseException:
-            for future in futures:
-                future.cancel()
-            pool.shutdown(wait=True, cancel_futures=True)
-            raise
-        pool.shutdown(wait=True)
-        return results
 
     # ------------------------------------------------------------------
     def evaluate_days(
@@ -240,7 +197,7 @@ class ExperimentRunner:
         model's own parameters) under ``noise_models[i]`` using
         ``seeds[i]`` / ``shots`` for measurement sampling — bit-identical to
         the equivalent :func:`repro.qnn.evaluation.evaluate_noisy` loop, but
-        chunked, vectorised, parallelised, and cached.  ``scenario`` (the
+        chunked, vectorised, optionally pooled, and cached.  ``scenario`` (the
         drift-scenario name of a fleet cell) is stamped onto every run
         record so JSONL rows stay attributable across scenario sweeps.
         """
@@ -308,28 +265,11 @@ class ExperimentRunner:
         ]
         durations: dict[int, float] = {}
 
-        def run_chunk(
-            chunk: list[int], backend: Optional[DensityMatrixBackend] = None
-        ) -> tuple[list[int], list[float], float]:
-            chunk_accuracies, duration = _evaluate_chunk(
-                model,
-                features,
-                labels,
-                [noise_models[i] for i in chunk],
-                [parameter_sets[i] for i in chunk],
-                shots,
-                [seeds[i] for i in chunk],
-                self.max_batch_bytes,
-                backend=backend,
-            )
-            return chunk, chunk_accuracies, duration
-
         if not chunks:
             outcomes = []
         elif self.mode == "pool":
             # Persistent workers: even a single chunk goes through the pool
             # so engines stay warm for the next call.
-            pool = self._ensure_pool()
             payloads = [
                 {
                     "noise_models": [noise_models[i] for i in chunk],
@@ -340,37 +280,30 @@ class ExperimentRunner:
                 }
                 for chunk in chunks
             ]
-            results = pool.run_chunks(model, features, labels, payloads)
-            outcomes = [
-                (chunk, *result) for chunk, result in zip(chunks, results)
-            ]
-        elif self.mode == "serial" or len(chunks) <= 1:
-            # Everything runs in the calling thread: reuse one engine so
-            # compiled circuits stay warm across chunks and calls.
+            results = self._ensure_pool().run_chunks(model, features, labels, payloads)
+            outcomes = [(chunk, *result) for chunk, result in zip(chunks, results)]
+        else:
+            # One engine reused across chunks and calls keeps compiled
+            # circuits warm.
             if self._serial_backend is None:
                 self._serial_backend = DensityMatrixBackend(engine=SimulationEngine())
-            outcomes = [run_chunk(chunk, self._serial_backend) for chunk in chunks]
-        elif self.mode == "process":
-            submissions = [
+            outcomes = [
                 (
-                    _evaluate_chunk,
-                    model,
-                    features,
-                    labels,
-                    [noise_models[i] for i in chunk],
-                    [parameter_sets[i] for i in chunk],
-                    shots,
-                    [seeds[i] for i in chunk],
-                    self.max_batch_bytes,
+                    chunk,
+                    *_evaluate_chunk(
+                        model,
+                        features,
+                        labels,
+                        [noise_models[i] for i in chunk],
+                        [parameter_sets[i] for i in chunk],
+                        shots,
+                        [seeds[i] for i in chunk],
+                        self.max_batch_bytes,
+                        self._serial_backend,
+                    ),
                 )
                 for chunk in chunks
             ]
-            results = self._fan_out(submissions)
-            outcomes = [
-                (chunk, *result) for chunk, result in zip(chunks, results)
-            ]
-        else:
-            outcomes = self._fan_out([(run_chunk, chunk) for chunk in chunks])
 
         for chunk, chunk_accuracies, duration in outcomes:
             self.stats.chunks += 1
@@ -404,15 +337,5 @@ class ExperimentRunner:
 
 
 def default_runner() -> ExperimentRunner:
-    """A runner configured from the environment.
-
-    ``REPRO_RUNNER_MODE`` selects serial/thread/process/pool (default
-    thread) and ``REPRO_RUNNER_WORKERS`` overrides the pool width — the
-    knobs CI and the benchmark suite use without touching harness code.
-    """
-    mode = os.environ.get("REPRO_RUNNER_MODE", "thread").lower()
-    workers = os.environ.get("REPRO_RUNNER_WORKERS")
-    return ExperimentRunner(
-        mode=mode,
-        max_workers=int(workers) if workers else None,
-    )
+    """The runner a harness uses when the caller passes none: ``serial``."""
+    return ExperimentRunner()

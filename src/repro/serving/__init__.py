@@ -26,11 +26,7 @@ from repro.serving.scheduler import (
     SchedulerStats,
 )
 from repro.serving.service import InferenceService, ShardedInferenceService
-from repro.serving.shards import (
-    INLINE_WINDOW_BYTES,
-    ShardSupervisor,
-    SupervisorStats,
-)
+from repro.serving.shards import INLINE_WINDOW_BYTES, ShardSupervisor
 from repro.serving.telemetry import (
     LATENCY_WINDOW,
     ServingTelemetry,
@@ -53,7 +49,6 @@ __all__ = [
     "DEFAULT_REPLICAS",
     "ring_point",
     "ShardSupervisor",
-    "SupervisorStats",
     "INLINE_WINDOW_BYTES",
     "ServingTelemetry",
     "LATENCY_WINDOW",

@@ -32,6 +32,7 @@ truly in parallel while the front door stays single-threaded and lock-light.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import itertools
 import pickle
 import threading
@@ -288,7 +289,6 @@ class ShardedInferenceService:
         num_shards: int = 4,
         policy: Optional[BatchPolicy] = None,
         replicas: int = DEFAULT_REPLICAS,
-        poll_seconds: float = 0.2,
     ):
         if num_shards < 1:
             raise ServingError(f"num_shards must be >= 1, got {num_shards}")
@@ -300,7 +300,6 @@ class ShardedInferenceService:
                 "max_batch": self.policy.max_batch,
                 "max_latency_ms": self.policy.max_latency_ms,
             },
-            poll_seconds=poll_seconds,
         )
         self.num_shards = num_shards
         self._deployments: dict[str, dict] = {}
@@ -453,7 +452,7 @@ class ShardedInferenceService:
             # (the event-loop callback would otherwise swallow the error).
             window = np.stack([request.features for request in group])
             if window.nbytes >= INLINE_WINDOW_BYTES:
-                features = self.supervisor.share_window(window)
+                features = self.supervisor.share(window)
             else:
                 features = window
         except Exception as error:
@@ -462,11 +461,12 @@ class ShardedInferenceService:
                     request.future.set_exception(error)
             return
         payload = {"op": "predict", "name": name, "features": features}
+        shared = features if isinstance(features, dict) else None
         try:
-            batch_future = self.supervisor.submit(self.route(name), payload)
+            batch_future = self.supervisor.submit(self.route(name), payload, pin=shared)
         except Exception as error:
-            if isinstance(features, dict):
-                self.supervisor.release_window(features)
+            if shared is not None:
+                self.supervisor.release(shared)
             for request in group:
                 if not request.future.cancelled():
                     request.future.set_exception(error)
@@ -606,7 +606,7 @@ class ShardedInferenceService:
         """Zero every shard's telemetry (back-to-back load runs)."""
         futures = [
             self.supervisor.submit(shard_id, {"op": "reset_telemetry"})
-            for shard_id in self.supervisor.shard_ids()
+            for shard_id in self.supervisor.actor_ids()
         ]
         for future in futures:
             future.result(timeout=30.0)
@@ -622,7 +622,7 @@ class ShardedInferenceService:
         """
         futures = {
             shard_id: self.supervisor.submit(shard_id, {"op": "stats"})
-            for shard_id in self.supervisor.shard_ids()
+            for shard_id in self.supervisor.actor_ids()
         }
         shard_stats = {
             shard_id: future.result(timeout=60.0)
@@ -636,13 +636,7 @@ class ShardedInferenceService:
             "telemetry": telemetry,
             "shards": {str(sid): stats for sid, stats in shard_stats.items()},
             "supervisor": {
-                "shards_spawned": self.supervisor.stats.shards_spawned,
-                "shards_restarted": self.supervisor.stats.shards_restarted,
-                "messages_completed": self.supervisor.stats.messages_completed,
-                "messages_resubmitted": self.supervisor.stats.messages_resubmitted,
-                "state_ops_replayed": self.supervisor.stats.state_ops_replayed,
-                "state_ops_quarantined": self.supervisor.stats.state_ops_quarantined,
-                "models_shipped": self.supervisor.stats.models_shipped,
+                **dataclasses.asdict(self.supervisor.stats),
                 "restarts": {
                     str(sid): count
                     for sid, count in self.supervisor.restarts().items()

@@ -30,30 +30,26 @@ Large request windows cross via the content-addressed shared-memory store
 common case — a micro-batch of feature vectors is a few KiB) ship inline,
 which is faster than a digest + block round-trip.
 
-:class:`ShardSupervisor` owns the fleet of shards.  It tracks, per shard,
-the ordered *state log* (every deploy / observe / rollback payload) and the
-ordered set of in-flight messages.  When a shard dies, the supervisor
-respawns it, replays the state log (deterministic compilation + the
-registry's content-dedupe make the replayed registry converge to the exact
-pre-crash state, including version numbers), then resubmits the dead
-shard's unanswered messages in their original order — so a crash costs
-clients latency, never an answer.  A predict racing a hot-swap may complete
-under the newer version after a restart, which is the same nondeterminism a
-client already observes from ordinary swap timing.
+:class:`ShardSupervisor` owns the fleet of shards.  It is an
+:class:`~repro.runtime.workers.ActorGroup` — the same supervised-actor
+runtime as the evaluation worker pool — that adds only what is
+shard-specific: the :class:`ShardHandler`, which ops mutate registry state
+(deploy / observe / rollback), and their typed audit records.  The group
+keeps, per shard, the ordered *state log* of those ops and the ordered set
+of in-flight messages.  When a shard dies, it respawns it, replays the
+state log (deterministic compilation + the registry's content-dedupe make
+the replayed registry converge to the exact pre-crash state, including
+version numbers), then resubmits the dead shard's unanswered messages in
+their original order — so a crash costs clients latency, never an answer.
+A predict racing a hot-swap may complete under the newer version after a
+restart, which is the same nondeterminism a client already observes from
+ordinary swap timing.
 """
 
 from __future__ import annotations
 
-import hashlib
-import logging
 import pickle
-import threading
-import time
-from collections import OrderedDict, deque
-from concurrent.futures import Future
-from dataclasses import dataclass
-from multiprocessing import get_context
-from multiprocessing.connection import wait as _wait_readers
+from collections import deque
 from typing import Optional
 
 import numpy as np
@@ -61,9 +57,10 @@ import numpy as np
 from repro.exceptions import ServingError
 from repro.protocol import ProtocolError, ShardDeploy, ShardStateOp
 from repro.runtime.workers import (
-    SharedArrayStore,
+    MAX_MESSAGE_ATTEMPTS,
+    ActorGroup,
     attach_shared_array,
-    spawn_actor,
+    model_payload_digest,
 )
 
 __all__ = [
@@ -71,7 +68,7 @@ __all__ = [
     "MAX_MESSAGE_ATTEMPTS",
     "ShardHandler",
     "ShardSupervisor",
-    "SupervisorStats",
+    "model_payload_digest",
 ]
 
 #: Request windows smaller than this ship inline through the message queue;
@@ -79,11 +76,6 @@ __all__ = [
 #: micro-batch of feature vectors is typically a few KiB, far below the
 #: digest + attach overhead break-even.
 INLINE_WINDOW_BYTES = 256 * 1024
-
-#: How many times one message may take a shard down before its future is
-#: failed instead of resubmitted (mirrors the worker pool's guard against
-#: a poison message respawning forever).
-MAX_MESSAGE_ATTEMPTS = 3
 
 #: How many shared-memory attachments a shard keeps mapped at once.
 _ATTACH_CACHE_CAPACITY = 16
@@ -208,474 +200,65 @@ class ShardHandler:
 #: Ops that mutate shard registry state and must be replayed on restart.
 _STATE_OPS = frozenset({"deploy", "observe", "rollback"})
 
-_logger = logging.getLogger(__name__)
 
-
-def _state_op_record(payload: dict):
-    """The typed audit record of one state-mutating payload.
-
-    Model bytes, snapshots, and adapters travel out-of-band as python
-    objects; the record pins the JSON-able identity (op, name, digests,
-    dates) and *validates it at submit time*, so a malformed state op
-    fails in the caller's stack trace instead of poisoning the replay
-    log.
-    """
-    op = payload.get("op")
-    try:
-        if op == "deploy":
-            return ShardDeploy(
-                name=payload["name"],
-                model_digest=payload["model_digest"],
-                calibration_date=getattr(payload.get("calibration"), "date", None),
-                has_model_bytes=payload.get("model_bytes") is not None,
-                has_noise_model=payload.get("noise_model") is not None,
-                has_adapter=payload.get("adapter") is not None,
-            )
-        return ShardStateOp(
-            op=op,
-            name=payload["name"],
-            date=getattr(payload.get("snapshot"), "date", None),
-        )
-    except KeyError as error:
-        raise ProtocolError(
-            f"state op {op!r} payload is missing required key {error}"
-        ) from error
-
-
-class _StateLogEntry:
-    """One state-mutating payload retained for crash replay.
-
-    ``record`` is the validated protocol message pinned at submit time
-    (:class:`~repro.protocol.ShardDeploy` for deploys,
-    :class:`~repro.protocol.ShardStateOp` otherwise).  ``attempts``
-    counts how many times the shard died while this entry was in flight
-    (originally or as a replay); once it reaches
-    :data:`MAX_MESSAGE_ATTEMPTS` the entry is quarantined — skipped by
-    every subsequent replay — so a poison deploy cannot crash-loop the
-    shard forever.
-    """
-
-    __slots__ = ("payload", "record", "attempts", "quarantined")
-
-    def __init__(self, payload: dict):
-        self.payload = payload
-        self.record = _state_op_record(payload)
-        self.attempts = 0
-        self.quarantined = False
-
-
-class _Envelope:
-    """One shipped message: payload, resolution future, delivery bookkeeping."""
-
-    __slots__ = (
-        "task_id",
-        "payload",
-        "future",
-        "state_op",
-        "replay",
-        "attempts",
-        "log_entry",
-    )
-
-    def __init__(self, task_id: int, payload: dict, future: Future, replay: bool = False):
-        self.task_id = task_id
-        self.payload = payload
-        self.future = future
-        self.state_op = payload.get("op") in _STATE_OPS
-        #: Internal envelope regenerated from the state log during a
-        #: restart; dropped (and regenerated again) if the shard dies twice.
-        self.replay = replay
-        self.attempts = 1
-        #: The state-log entry this envelope applies (state ops only).
-        self.log_entry: Optional[_StateLogEntry] = None
-
-
-class _ShardHandle:
-    """Parent-side view of one shard process."""
-
-    __slots__ = (
-        "shard_id",
-        "process",
-        "inbox",
-        "outbox",
-        "known_models",
-        "state_log",
-        "in_flight",
-        "restarts",
-    )
-
-    def __init__(self, shard_id: int):
-        self.shard_id = shard_id
-        self.process = None
-        self.inbox = None
-        #: Per-shard reply queue.  Each shard owns its own channel (and the
-        #: channel dies with the shard) so a crashing process can never
-        #: poison a lock or pipe another shard's replies depend on — a
-        #: single shared reply queue deadlocks the fleet when one child
-        #: dies holding the queue's write lock.
-        self.outbox = None
-        self.known_models: set[str] = set()
-        #: Ordered entries of every state-mutating op ever shipped.
-        self.state_log: list[_StateLogEntry] = []
-        #: task_id -> _Envelope of every unanswered message, ship order.
-        self.in_flight: "OrderedDict[int, _Envelope]" = OrderedDict()
-        self.restarts = 0
-
-
-@dataclass
-class SupervisorStats:
-    """Cumulative lifecycle counters of one :class:`ShardSupervisor`."""
-
-    shards_spawned: int = 0
-    shards_restarted: int = 0
-    messages_completed: int = 0
-    messages_resubmitted: int = 0
-    state_ops_replayed: int = 0
-    state_ops_quarantined: int = 0
-    models_shipped: int = 0
-    windows_shared: int = 0
-
-
-class ShardSupervisor:
+class ShardSupervisor(ActorGroup):
     """Spawns, monitors, restarts, and routes messages to shard processes.
 
     The supervisor is transport + supervision only: it never inspects model
     state.  All shard state it needs for recovery is the per-shard ordered
     state log (deploy/observe/rollback payloads, with model bytes retained)
-    plus the in-flight envelope queue.
+    plus the in-flight messages, both kept by the
+    :class:`~repro.runtime.workers.ActorGroup` it extends.
     """
+
+    error = ServingError
 
     def __init__(
         self,
         num_shards: int,
         policy: Optional[dict] = None,
-        poll_seconds: float = 0.2,
     ):
         if num_shards < 1:
             raise ServingError(f"num_shards must be >= 1, got {num_shards}")
+        super().__init__(num_shards, ShardHandler, name="repro-shard")
         self.num_shards = num_shards
         self.policy = policy
-        self.poll_seconds = poll_seconds
-        self.stats = SupervisorStats()
-        self._context = get_context("spawn")
-        self._store = SharedArrayStore()
-        self._shards: dict[int, _ShardHandle] = {
-            shard_id: _ShardHandle(shard_id) for shard_id in range(num_shards)
-        }
-        self._lock = threading.RLock()
-        self._task_counter = 0
-        self._envelopes: dict[int, _Envelope] = {}
-        self._collector: Optional[threading.Thread] = None
-        self._closed = False
-        self._idle = threading.Condition(self._lock)
 
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def start(self) -> "ShardSupervisor":
-        """Spawn every shard process and the collector thread (idempotent)."""
-        with self._lock:
-            if self._closed:
-                raise ServingError("supervisor is closed")
-            for handle in self._shards.values():
-                if handle.process is None:
-                    self._spawn(handle)
-        if self._collector is None or not self._collector.is_alive():
-            self._collector = threading.Thread(
-                target=self._collect_loop, name="shard-collector", daemon=True
-            )
-            self._collector.start()
-        return self
+    def handler_kwargs(self, actor_id: int) -> dict:
+        """Each shard's handler knows its id and the batch policy."""
+        return {"shard_id": actor_id, "policy": self.policy}
 
-    def _spawn(self, handle: _ShardHandle) -> None:
-        # SimpleQueue: replies are written synchronously from the shard's
-        # main thread (no feeder), so a crash in handler code can never
-        # interleave with a half-written reply frame.
-        handle.outbox = self._context.SimpleQueue()
-        handle.process, handle.inbox = spawn_actor(
-            self._context,
-            handle.outbox,
-            ShardHandler,
-            {"shard_id": handle.shard_id, "policy": self.policy},
-            name=f"repro-shard-{handle.shard_id}",
-        )
-        handle.known_models = set()
-        self.stats.shards_spawned += 1
+    def replay_record(self, payload: dict):
+        """The typed audit record of one state-mutating payload.
 
-    @property
-    def closed(self) -> bool:
-        """Whether :meth:`close` has run; a closed supervisor rejects work."""
-        return self._closed
-
-    def shard_ids(self) -> list[int]:
-        """Ids of the supervised shards."""
-        return sorted(self._shards)
-
-    def pids(self) -> dict[int, Optional[int]]:
-        """Current PID of each shard process (None before :meth:`start`)."""
-        with self._lock:
-            return {
-                shard_id: (handle.process.pid if handle.process else None)
-                for shard_id, handle in self._shards.items()
-            }
-
-    # ------------------------------------------------------------------
-    # Messaging
-    # ------------------------------------------------------------------
-    def submit(self, shard_id: int, payload: dict) -> Future:
-        """Ship one message to a shard; the future resolves with its reply."""
-        with self._lock:
-            if self._closed:
-                raise ServingError("supervisor is closed; no new messages accepted")
-            handle = self._shards.get(shard_id)
-            if handle is None:
-                raise ServingError(
-                    f"unknown shard {shard_id}; shards: {sorted(self._shards)}"
-                )
-            if handle.process is None:
-                raise ServingError("supervisor is not started; call start() first")
-            self._task_counter += 1
-            envelope = _Envelope(self._task_counter, payload, Future())
-            if envelope.state_op:
-                entry = _StateLogEntry(payload)
-                envelope.log_entry = entry
-                handle.state_log.append(entry)
-            self._ship(handle, envelope)
-            return envelope.future
-
-    def share_window(self, window: np.ndarray) -> dict:
-        """Expose a large request window via the content-addressed store.
-
-        The block is pinned against LRU eviction until the window's message
-        resolves (the supervisor releases the pin in :meth:`_resolve`, the
-        give-up path, and on close) — so no matter how many distinct
-        windows are in flight, a shard can never find its block unlinked.
+        Model bytes, snapshots, and adapters travel out-of-band as python
+        objects; the record pins the JSON-able identity (op, name, digests,
+        dates) and *validates it at submit time*, so a malformed state op
+        fails in the caller's stack trace instead of poisoning the replay
+        log.  Non-state ops (predict, stats, ...) have no record.
         """
-        with self._lock:
-            meta = self._store.share(window, pin=True)
-            self.stats.windows_shared += 1
-            return meta
-
-    def release_window(self, meta: dict) -> None:
-        """Drop the pin :meth:`share_window` took (callers that never
-        submitted the window must release it themselves)."""
-        with self._lock:
-            self._store.release(meta.get("name"))
-
-    def _release_window_pin(self, envelope: _Envelope) -> None:
-        """Unpin a predict envelope's shared window (lock held)."""
-        features = envelope.payload.get("features")
-        if isinstance(features, dict):
-            self._store.release(features.get("name"))
-
-    def _ship(self, handle: _ShardHandle, envelope: _Envelope) -> None:
-        """Deliver one envelope (lock held), content-addressing model bytes."""
-        payload = envelope.payload
-        if payload.get("op") == "deploy":
-            digest = payload["model_digest"]
-            if digest in handle.known_models:
-                payload = {k: v for k, v in payload.items() if k != "model_bytes"}
-            else:
-                handle.known_models.add(digest)
-                self.stats.models_shipped += 1
-        handle.in_flight[envelope.task_id] = envelope
-        self._envelopes[envelope.task_id] = envelope
-        handle.inbox.put((envelope.task_id, payload))
-
-    # ------------------------------------------------------------------
-    # Collection + supervision
-    # ------------------------------------------------------------------
-    def _collect_loop(self) -> None:
-        last_health_check = time.monotonic()
-        while not self._closed:
-            with self._lock:
-                outboxes = [
-                    handle.outbox
-                    for handle in self._shards.values()
-                    if handle.outbox is not None
-                ]
-            replies = []
-            try:
-                ready = _wait_readers(
-                    [outbox._reader for outbox in outboxes],
-                    timeout=self.poll_seconds,
-                )
-            except OSError:  # an outbox was torn down mid-wait
-                ready = []
-            readers = {outbox._reader: outbox for outbox in outboxes}
-            for reader in ready:
-                outbox = readers.get(reader)
-                if outbox is None:
-                    continue
-                try:
-                    while not outbox.empty():
-                        replies.append(outbox.get())
-                except (EOFError, OSError):
-                    continue  # shard died mid-reply; recovery resubmits
-            now = time.monotonic()
-            with self._lock:
-                for task_id, ok, value in replies:
-                    self._resolve(task_id, ok, value)
-                if now - last_health_check >= self.poll_seconds:
-                    last_health_check = now
-                    self._recover_dead_shards()
-                if not self._envelopes:
-                    self._idle.notify_all()
-
-    def _resolve(self, task_id: int, ok: bool, value) -> None:
-        envelope = self._envelopes.pop(task_id, None)
-        if envelope is None:
-            return  # straggler from before a restart
-        for handle in self._shards.values():
-            handle.in_flight.pop(task_id, None)
-        self._release_window_pin(envelope)
-        self.stats.messages_completed += 1
-        if ok:
-            envelope.future.set_result(value)
-        else:
-            envelope.future.set_exception(
-                ServingError(f"shard message {envelope.payload.get('op')!r} failed:\n{value}")
-            )
-
-    def _recover_dead_shards(self) -> None:
-        # Guarded on _closed (both this and close() run under the lock):
-        # the collector's final iteration may wake *after* close() sent the
-        # shutdown sentinels, and must not resurrect cleanly-stopped shards.
-        if self._closed:
-            return
-        for handle in self._shards.values():
-            if handle.process is not None and not handle.process.is_alive():
-                self._recover(handle)
-
-    def _recover(self, handle: _ShardHandle) -> None:
-        """Respawn a dead shard; replay its state; resubmit unanswered work.
-
-        The state log is replayed *first* (in original submission order) so
-        the new process reconstructs the exact registry the old one held —
-        deterministic compilation plus the registry's content-dedupe mean
-        replayed publishes converge to the same versions.  Unanswered
-        non-state messages are then resubmitted in their original order.
-        In-flight state ops are resolved by their own replay envelope, so
-        nothing is applied twice.
-
-        Every message in flight at crash time — state op or not — counts
-        one attempt; a state-log entry whose attempts reach
-        :data:`MAX_MESSAGE_ATTEMPTS` is quarantined (skipped by this and
-        every later replay, its caller's future failed) so one poison
-        deploy cannot crash-loop the shard forever.
-        """
+        op = payload.get("op")
+        if op not in _STATE_OPS:
+            return None
         try:
-            handle.process.join(timeout=0)
-        except Exception:
-            pass
-        # Discard the dead shard's channels wholesale: anything unread in
-        # them is covered by state replay + envelope resubmission, and a
-        # fresh pair means nothing the dying process may have poisoned
-        # (locks, partial frames) survives into the restarted shard.
-        # cancel_join_thread, not join_thread: the inbox feeder may be
-        # blocked writing a window into the dead shard's full pipe.
-        if handle.inbox is not None:
-            try:
-                handle.inbox.cancel_join_thread()
-                handle.inbox.close()
-            except Exception:
-                pass
-        if handle.outbox is not None:
-            try:
-                handle.outbox.close()
-            except Exception:
-                pass
-        old_in_flight = handle.in_flight
-        handle.in_flight = OrderedDict()
-        for envelope in old_in_flight.values():
-            self._envelopes.pop(envelope.task_id, None)
-            # Any state op unanswered at crash time is a crash suspect,
-            # whether it was the caller's original ship or a replay.
-            if envelope.log_entry is not None:
-                envelope.log_entry.attempts += 1
-        self._spawn(handle)
-        handle.restarts += 1
-        self.stats.shards_restarted += 1
-
-        # Map in-flight state-log entries to their caller envelopes so the
-        # replay resolves the caller's original future.
-        pending_state = {
-            id(envelope.log_entry): envelope
-            for envelope in old_in_flight.values()
-            if envelope.log_entry is not None and not envelope.replay
-        }
-        for entry in handle.state_log:
-            if entry.quarantined:
-                continue
-            envelope = pending_state.get(id(entry))
-            if entry.attempts >= MAX_MESSAGE_ATTEMPTS:
-                entry.quarantined = True
-                self.stats.state_ops_quarantined += 1
-                error = ServingError(
-                    f"state op {entry.payload.get('op')!r} "
-                    f"(name={entry.payload.get('name')!r}) killed shard "
-                    f"{handle.shard_id} {entry.attempts} times; quarantined "
-                    "from replay — the shard restarts without it"
+            if op == "deploy":
+                return ShardDeploy(
+                    name=payload["name"],
+                    model_digest=payload["model_digest"],
+                    calibration_date=getattr(payload.get("calibration"), "date", None),
+                    has_model_bytes=payload.get("model_bytes") is not None,
+                    has_noise_model=payload.get("noise_model") is not None,
+                    has_adapter=payload.get("adapter") is not None,
                 )
-                _logger.error("%s", error)
-                if envelope is not None:
-                    envelope.future.set_exception(error)
-                continue
-            if envelope is None:
-                self._task_counter += 1
-                envelope = _Envelope(
-                    self._task_counter, entry.payload, Future(), replay=True
-                )
-                envelope.log_entry = entry
-                envelope.future.add_done_callback(self._check_replay)
-            else:
-                envelope.attempts += 1
-            self.stats.state_ops_replayed += 1
-            self._ship(handle, envelope)
-        for envelope in old_in_flight.values():
-            if envelope.replay or envelope.state_op:
-                continue  # replay envelopes are regenerated from the log
-            envelope.attempts += 1
-            if envelope.attempts > MAX_MESSAGE_ATTEMPTS:
-                self._release_window_pin(envelope)
-                envelope.future.set_exception(
-                    ServingError(
-                        f"message {envelope.payload.get('op')!r} killed shard "
-                        f"{handle.shard_id} {MAX_MESSAGE_ATTEMPTS} times; giving up"
-                    )
-                )
-                continue
-            self.stats.messages_resubmitted += 1
-            self._ship(handle, envelope)
-
-    @staticmethod
-    def _check_replay(future: Future) -> None:
-        """Surface a failed state replay loudly instead of swallowing it."""
-        error = future.exception()
-        if error is not None:  # pragma: no cover - defensive
-            _logger.error("shard state replay failed: %s", error)
-
-    # ------------------------------------------------------------------
-    # Ops hooks
-    # ------------------------------------------------------------------
-    def kill(self, shard_id: int) -> Optional[int]:
-        """Hard-kill one shard process (chaos hook); returns the old PID.
-
-        The collector notices the death within ``poll_seconds`` and runs the
-        restart protocol — callers observe nothing but latency.
-        """
-        with self._lock:
-            handle = self._shards[shard_id]
-            if handle.process is None:
-                return None
-            pid = handle.process.pid
-            handle.process.kill()
-        return pid
-
-    def restarts(self) -> dict[int, int]:
-        """Restart count per shard id."""
-        with self._lock:
-            return {sid: handle.restarts for sid, handle in self._shards.items()}
+            return ShardStateOp(
+                op=op,
+                name=payload["name"],
+                date=getattr(payload.get("snapshot"), "date", None),
+            )
+        except KeyError as error:
+            raise ProtocolError(
+                f"state op {op!r} payload is missing required key {error}"
+            ) from error
 
     def state_log_records(self, shard_id: int) -> list[ShardStateOp]:
         """One shard's ordered state log as typed audit records.
@@ -687,34 +270,29 @@ class ShardSupervisor:
         replay.
         """
         with self._lock:
-            handle = self._shards.get(shard_id)
-            if handle is None:
+            shard = self._actors.get(shard_id)
+            if shard is None:
                 raise ServingError(
-                    f"unknown shard {shard_id}; shards: {sorted(self._shards)}"
+                    f"unknown shard {shard_id}; shards: {self.actor_ids()}"
                 )
             records = []
-            for entry in handle.state_log:
+            for entry in shard.state_log:
                 record = entry.record
                 if isinstance(record, ShardDeploy):
-                    records.append(
-                        ShardStateOp(
-                            op="deploy",
-                            name=record.name,
-                            date=record.calibration_date,
-                            model_digest=record.model_digest,
-                            attempts=entry.attempts,
-                            quarantined=entry.quarantined,
-                        )
+                    record = ShardStateOp(
+                        op="deploy",
+                        name=record.name,
+                        date=record.calibration_date,
+                        model_digest=record.model_digest,
                     )
-                else:
-                    records.append(
-                        record.model_copy(
-                            update={
-                                "attempts": entry.attempts,
-                                "quarantined": entry.quarantined,
-                            }
-                        )
+                records.append(
+                    record.model_copy(
+                        update={
+                            "attempts": entry.attempts,
+                            "quarantined": entry.quarantined,
+                        }
                     )
+                )
             return records
 
     def rollups(self) -> dict[int, dict]:
@@ -722,82 +300,11 @@ class ShardSupervisor:
         with self._lock:
             return {
                 shard_id: {
-                    "restarts": handle.restarts,
-                    "in_flight": len(handle.in_flight),
-                    "deployed_digests": len(handle.known_models),
-                    "state_ops": len(handle.state_log),
-                    "pid": handle.process.pid if handle.process else None,
+                    "restarts": shard.restarts,
+                    "in_flight": len(shard.in_flight),
+                    "deployed_digests": len(shard.known_models),
+                    "state_ops": len(shard.state_log),
+                    "pid": shard.process.pid if shard.process else None,
                 }
-                for shard_id, handle in self._shards.items()
+                for shard_id, shard in self._actors.items()
             }
-
-    def drain(self, timeout: float = 60.0) -> bool:
-        """Wait until no message is in flight; returns False on timeout."""
-        deadline = time.monotonic() + timeout
-        with self._idle:
-            while self._envelopes:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return False
-                self._idle.wait(timeout=min(remaining, 0.1))
-        return True
-
-    # ------------------------------------------------------------------
-    # Shutdown
-    # ------------------------------------------------------------------
-    def close(self, drain: bool = True) -> None:
-        """Stop every shard and release shared resources.
-
-        With ``drain=True`` the call first waits for in-flight messages to
-        be answered, then stops the actors via their sentinel; with
-        ``drain=False`` unanswered futures are cancelled and the processes
-        are terminated immediately.
-        """
-        if self._closed:
-            return
-        if drain:
-            self.drain()
-        with self._lock:
-            self._closed = True
-            for envelope in list(self._envelopes.values()):
-                envelope.future.cancel()
-            self._envelopes.clear()
-            handles = list(self._shards.values())
-        for handle in handles:
-            if handle.process is None:
-                continue
-            if drain and handle.process.is_alive():
-                try:
-                    handle.inbox.put(None)
-                except Exception:
-                    pass
-        for handle in handles:
-            if handle.process is None:
-                continue
-            if drain:
-                handle.process.join(timeout=5.0)
-            if handle.process.is_alive():
-                handle.process.terminate()
-                handle.process.join(timeout=5.0)
-        if self._collector is not None:
-            self._collector.join(timeout=5.0)
-            self._collector = None
-        self._store.close()
-
-    def __enter__(self) -> "ShardSupervisor":
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close(drain=exc_type is None)
-
-    def __del__(self):  # pragma: no cover - interpreter-shutdown best effort
-        try:
-            if not self._closed:
-                self.close(drain=False)
-        except Exception:
-            pass
-
-
-def model_payload_digest(model_bytes: bytes) -> str:
-    """Content digest identifying one pickled model payload."""
-    return hashlib.blake2b(model_bytes, digest_size=16).hexdigest()

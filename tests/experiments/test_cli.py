@@ -20,8 +20,8 @@ def test_registry_covers_every_harness():
 def test_parser_defaults():
     args = build_parser().parse_args(["fig1"])
     assert args.scale == "bench"
-    # Unset on the parser so main() can resolve per-harness defaults
-    # (thread for the shared runner, serial for fleet cells).
+    # Unset on the parser so main() can tell an explicit flag from the
+    # default (serial) when rejecting inapplicable options.
     assert args.runner_mode is None
     assert args.chunk_days == 16
 
@@ -117,7 +117,7 @@ def test_non_serve_experiments_reject_serving_flags():
 
 def test_serve_rejects_runner_flags():
     for flag in (
-        ["--runner-mode", "process"],
+        ["--runner-mode", "pool"],
         ["--workers", "4"],
         ["--chunk-days", "2"],
         ["--records", "r.jsonl"],
@@ -262,7 +262,7 @@ def test_sharded_serve_runs_end_to_end(tmp_path):
         stats["completed"] for stats in serving["telemetry"]["models"].values()
     )
     assert total == 24
-    assert serving["supervisor"]["shards_spawned"] >= 2
+    assert serving["supervisor"]["actors_spawned"] >= 2
 
 
 def test_fleet_runs_a_grid_end_to_end(tmp_path):

@@ -50,28 +50,28 @@ def _legacy_longitudinal(setup, methods, shots):
     return per_method
 
 
-@pytest.mark.parametrize("mode", ["serial", "thread"])
+@pytest.mark.parametrize("mode", ["serial", "pool"])
 def test_run_longitudinal_matches_legacy_loop(setup, mode):
     shots = setup.scale.shots
     legacy = _legacy_longitudinal(
         setup, [make_method("baseline"), make_method("noise_aware_train_once")], shots
     )
-    result = run_longitudinal(
-        setup,
-        [make_method("baseline"), make_method("noise_aware_train_once")],
-        runner=ExperimentRunner(mode=mode, chunk_days=2),
-    )
+    with ExperimentRunner(mode=mode, chunk_days=2, max_workers=2) as runner:
+        result = run_longitudinal(
+            setup,
+            [make_method("baseline"), make_method("noise_aware_train_once")],
+            runner=runner,
+        )
     for name, series in legacy.items():
         assert np.array_equal(result.run_for(name).daily_accuracy, series)
 
 
 def test_run_fig2_deterministic_across_runner_modes(setup):
     serial = run_fig2(TEST_SCALE, setup=setup, runner=ExperimentRunner(mode="serial"))
-    threaded = run_fig2(
-        TEST_SCALE, setup=setup, runner=ExperimentRunner(mode="thread", chunk_days=2)
-    )
+    with ExperimentRunner(mode="pool", chunk_days=2, max_workers=2) as runner:
+        pooled = run_fig2(TEST_SCALE, setup=setup, runner=runner)
     assert np.array_equal(
-        serial.noise_aware_training_accuracy, threaded.noise_aware_training_accuracy
+        serial.noise_aware_training_accuracy, pooled.noise_aware_training_accuracy
     )
-    assert np.array_equal(serial.compression_accuracy, threaded.compression_accuracy)
-    assert serial.dates == threaded.dates
+    assert np.array_equal(serial.compression_accuracy, pooled.compression_accuracy)
+    assert serial.dates == pooled.dates

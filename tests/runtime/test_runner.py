@@ -10,9 +10,11 @@ from repro.datasets import load_mnist4
 from repro.exceptions import ReproError
 from repro.qnn import QNNModel, evaluate_noisy
 from repro.runtime import (
+    RUNNER_MODES,
     EvaluationCache,
     ExperimentRunner,
     RunRecord,
+    default_runner,
     load_run_records,
     model_digest,
     noise_model_digest,
@@ -46,7 +48,7 @@ def harness():
     return model, features, labels, noise_models, parameter_sets, seeds, reference
 
 
-@pytest.mark.parametrize("mode", ["serial", "thread", "pool"])
+@pytest.mark.parametrize("mode", ["serial", "pool"])
 def test_runner_matches_sequential_evaluation(harness, mode):
     model, features, labels, noise_models, parameter_sets, seeds, reference = harness
     with ExperimentRunner(mode=mode, chunk_days=2, max_workers=1) as runner:
@@ -75,7 +77,7 @@ def test_pool_runner_reuses_workers_and_recreates_after_close(harness):
         assert np.array_equal(second, reference)
         # The persistent pool serves both calls with the same warm worker.
         assert runner.pool.pids() == pids
-        assert runner.pool.stats.workers_spawned == 1
+        assert runner.pool.stats.actors_spawned == 1
 
         # close() releases the pool; the next call transparently builds a
         # fresh one instead of failing on a closed pool.
@@ -232,12 +234,11 @@ def test_cache_key_digests_computed_once_per_object(harness, monkeypatch):
 
 
 def test_runner_rejects_bad_configuration():
-    with pytest.raises(ReproError):
-        ExperimentRunner(mode="quantum")
+    assert RUNNER_MODES == ("serial", "pool")
+    assert ExperimentRunner().mode == "serial"
+    assert default_runner().mode == "serial"
+    for mode in ("quantum", "thread", "process"):
+        with pytest.raises(ReproError):
+            ExperimentRunner(mode=mode)
     with pytest.raises(ReproError):
         ExperimentRunner(chunk_days=0)
-
-
-def test_runner_map_preserves_order():
-    runner = ExperimentRunner(mode="thread", max_workers=2)
-    assert runner.map(lambda x: x * x, list(range(7))) == [x * x for x in range(7)]

@@ -1,7 +1,7 @@
 """Pin semantics of the SharedArrayStore LRU.
 
 The serving supervisor pins every in-flight request window
-(:meth:`~repro.serving.shards.ShardSupervisor.share_window`), so a block
+(:meth:`~repro.runtime.workers.ActorGroup.share`), so a block
 must never be unlinked while a consumer may still attach it — no matter how
 many other arrays pass through the store in between.
 """

@@ -1,16 +1,23 @@
-"""Graceful shutdown: interrupts cancel pending chunks and drain workers."""
+"""Graceful shutdown of the ``pool`` runner: failures and interrupts.
+
+A chunk that raises inside a worker fails the call with the worker's
+traceback and leaves the pool serving; a ``KeyboardInterrupt`` while
+chunks are in flight, followed by ``close()``, leaves no worker process and
+no shared-memory block behind.
+"""
 
 from __future__ import annotations
 
-import threading
-import time
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-import repro.runtime.runner as runner_module
+import repro.runtime.workers as workers_module
 from repro.calibration import generate_belem_history
 from repro.datasets import load_mnist4
+from repro.exceptions import ReproError
 from repro.qnn import QNNModel
 from repro.runtime import ExperimentRunner
 from repro.simulator import NoiseModel
@@ -31,63 +38,58 @@ def small_harness():
     return model, features, labels, noise_models
 
 
+def _assert_reaped(pids, names):
+    """Every worker process is gone and every shared block unlinked."""
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+    shm_root = Path("/dev/shm")
+    if shm_root.exists():
+        for name in names:
+            assert not (shm_root / name.lstrip("/")).exists()
+
+
+def test_failed_chunk_raises_worker_traceback_and_pool_stays_usable(small_harness):
+    """A chunk that raises in its worker fails the call with the worker's
+    traceback; the same warm workers then serve the next call."""
+    model, features, labels, noise_models = small_harness
+    too_short = [np.zeros(model.num_parameters - 1)] * len(noise_models)
+    serial = ExperimentRunner(mode="serial", chunk_days=1)
+    expected = serial.evaluate_days(model, features, labels, noise_models)
+    with ExperimentRunner(mode="pool", max_workers=2, chunk_days=1) as runner:
+        with pytest.raises(ReproError, match="Traceback") as failure:
+            runner.evaluate_days(
+                model, features, labels, noise_models, parameter_sets=too_short
+            )
+        assert "CircuitError" in str(failure.value)
+        pids = runner.pool.pids()
+        accuracies = runner.evaluate_days(model, features, labels, noise_models)
+        assert np.array_equal(accuracies, expected)
+        assert runner.pool.pids() == pids
+        assert runner.pool.stats.actors_restarted == 0
+
+
 def test_interrupt_cancels_pending_chunks_and_drains_workers(
     small_harness, monkeypatch
 ):
-    """A KeyboardInterrupt mid-run must not leave orphaned workers behind,
-    and chunks that have not started must never start."""
+    """A KeyboardInterrupt while chunks are in flight propagates and the
+    chunks not yet dispatched never start; close() then drains the running
+    ones and reaps every worker and shared-memory block."""
     model, features, labels, noise_models = small_harness
-    calls = []
 
-    def interrupting(*args, **kwargs):
-        calls.append(time.monotonic())
-        if len(calls) == 1:
-            raise KeyboardInterrupt
-        # The single worker may dequeue one more chunk before the main
-        # thread reacts to the interrupt; holding it briefly gives the
-        # cancellation a deterministic window to cover the rest.
-        time.sleep(0.2)
-        chunk_size = len(args[3])
-        return [0.0] * chunk_size, 0.0
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
 
-    monkeypatch.setattr(runner_module, "_evaluate_chunk", interrupting)
-    runner = ExperimentRunner(mode="thread", max_workers=1, chunk_days=1)
-    before = threading.active_count()
+    runner = ExperimentRunner(mode="pool", max_workers=2, chunk_days=1)
+    monkeypatch.setattr(workers_module, "_wait_futures", interrupted)
     with pytest.raises(KeyboardInterrupt):
         runner.evaluate_days(model, features, labels, noise_models)
-    # The interrupt fires in chunk 1; at most one further chunk can slip
-    # into the single worker before the rest are cancelled unstarted.
-    assert len(calls) <= 2
-    # The pool was shut down synchronously: no orphaned worker threads.
-    deadline = time.monotonic() + 5.0
-    while threading.active_count() > before and time.monotonic() < deadline:
-        time.sleep(0.01)
-    assert threading.active_count() <= before
-
-
-def test_failed_chunk_propagates_after_draining(small_harness, monkeypatch):
-    """Ordinary worker exceptions follow the same cancel-and-drain path."""
-    model, features, labels, noise_models = small_harness
-
-    def broken(*args, **kwargs):
-        raise RuntimeError("chunk exploded")
-
-    monkeypatch.setattr(runner_module, "_evaluate_chunk", broken)
-    runner = ExperimentRunner(mode="thread", max_workers=2, chunk_days=1)
-    with pytest.raises(RuntimeError, match="chunk exploded"):
-        runner.evaluate_days(model, features, labels, noise_models)
-
-
-def test_thread_mode_still_matches_serial_after_refactor(small_harness):
-    """The submit-based fan-out preserves ordering and numbers."""
-    model, features, labels, noise_models = small_harness
-    serial = ExperimentRunner(mode="serial", chunk_days=1)
-    threaded = ExperimentRunner(mode="thread", max_workers=2, chunk_days=1)
-    a = serial.evaluate_days(model, features, labels, noise_models)
-    b = threaded.evaluate_days(model, features, labels, noise_models)
-    assert np.array_equal(a, b)
-
-
-def test_runner_map_uses_pool_fan_out():
-    runner = ExperimentRunner(mode="thread", max_workers=2)
-    assert runner.map(lambda x: x * 2, [1, 2, 3, 4]) == [2, 4, 6, 8]
+    pool = runner.pool
+    pids = pool.pids()
+    names = pool.shared_memory_names()
+    assert len(pids) == 2 and len(names) == 2
+    runner.close()
+    assert pool.closed
+    assert pool.stats.messages_completed == 2  # one chunk per worker, no more
+    assert pool.pids() == []
+    _assert_reaped(pids, names)

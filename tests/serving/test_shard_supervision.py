@@ -33,7 +33,7 @@ class _ExitOnUnpickle:
 
 def test_poison_deploy_is_quarantined_not_crash_looped():
     poison = pickle.dumps(_ExitOnUnpickle(), protocol=pickle.HIGHEST_PROTOCOL)
-    supervisor = ShardSupervisor(1, poll_seconds=0.05)
+    supervisor = ShardSupervisor(1)
     try:
         supervisor.start()
         assert supervisor.submit(0, {"op": "ping"}).result(timeout=120.0) == 0
@@ -49,12 +49,27 @@ def test_poison_deploy_is_quarantined_not_crash_looped():
         with pytest.raises(ServingError, match="quarantined"):
             future.result(timeout=120.0)
         assert supervisor.stats.state_ops_quarantined == 1
-        assert supervisor.stats.shards_restarted == MAX_MESSAGE_ATTEMPTS
+        assert supervisor.stats.actors_restarted == MAX_MESSAGE_ATTEMPTS
         # The shard came back without the poison op and serves again.
         assert supervisor.submit(0, {"op": "ping"}).result(timeout=120.0) == 0
         # Later restarts skip the quarantined entry outright.
         supervisor.kill(0)
         assert supervisor.submit(0, {"op": "ping"}).result(timeout=120.0) == 0
         assert supervisor.stats.state_ops_quarantined == 1
+    finally:
+        supervisor.close(drain=False)
+
+
+def test_cancelled_future_does_not_stop_the_collector():
+    """A caller may cancel a message's future before its reply arrives; the
+    reply is then dropped, and every later message is still answered."""
+    supervisor = ShardSupervisor(1)
+    try:
+        supervisor.start()
+        assert supervisor.submit(0, {"op": "ping"}).result(timeout=120.0) == 0
+        abandoned = supervisor.submit(0, {"op": "ping"})
+        assert abandoned.cancel()
+        assert supervisor.submit(0, {"op": "ping"}).result(timeout=60.0) == 0
+        assert supervisor.stats.messages_completed == 3
     finally:
         supervisor.close(drain=False)

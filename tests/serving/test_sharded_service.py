@@ -127,7 +127,7 @@ def test_shard_kill_mid_stream_loses_nothing(sharded, reference, features):
         assert time.monotonic() < deadline, "supervisor never recorded restart"
         time.sleep(0.05)
     stats = sharded.stats()
-    assert stats["supervisor"]["shards_restarted"] >= 1
+    assert stats["supervisor"]["actors_restarted"] >= 1
     assert stats["supervisor"]["restarts"][str(shard_id)] >= 1
     # The restarted shard replayed its deployments and serves version 1.
     assert stats["deployments"][name]["version"] == 1
