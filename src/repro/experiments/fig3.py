@@ -23,7 +23,7 @@ from repro.simulator import (
     default_density_backend,
     default_statevector_backend,
 )
-from repro.transpiler import belem_coupling, to_basis, transpile
+from repro.transpiler import belem_coupling, transpile
 
 
 @dataclass
@@ -95,12 +95,20 @@ def run_fig3(
         ]
     ).reshape(grid_points, grid_points)
 
+    # Walk the qubits the routed VQC touches; read out on the device.
+    active = transpiled.active_qubits
     dm_backend = default_density_backend()
-    physical = [to_basis(transpiled.bind(parameters)) for parameters in parameter_sets]
+    compact = [transpiled.to_active(parameters) for parameters in parameter_sets]
     noisy_results = dm_backend.execute_batch(
-        physical, noise_models=noise_model, batch=1
+        compact, noise_models=noise_model.restricted(active), batch=1
     )
     noisy_surface = np.array(
-        [float(result.expectation_z(measured)[0, 0]) for result in noisy_results]
+        [
+            float(
+                result.on_register(active, coupling.num_qubits, noise_model)
+                .expectation_z(measured)[0, 0]
+            )
+            for result in noisy_results
+        ]
     ).reshape(grid_points, grid_points)
     return Fig3Result(grid=grid, ideal_surface=ideal_surface, noisy_surface=noisy_surface)

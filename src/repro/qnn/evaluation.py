@@ -19,9 +19,9 @@ from repro.simulator import Backend, NoiseModel
 from repro.utils.rng import SeedLike
 
 #: Memory budget for one flattened multi-binding density super-batch.  A
-#: binding costs ``batch * 4**num_qubits * 16`` bytes, so at the default
-#: budget a 5-qubit device with 96 eval samples still batches ~40 days per
-#: backend call while a 7-qubit device batches ~8.
+#: binding costs ``batch * 4**active * 16`` bytes for the ``active`` qubits
+#: the routed circuit touches, so at the default budget a 4-qubit model
+#: with 96 eval samples batches ~170 days per backend call on any device.
 DEFAULT_BATCH_BYTES: int = 64 * 1024 * 1024
 
 #: Cache-friendliness cap: stacking bindings pays off while the flattened
@@ -116,13 +116,13 @@ def _batch_chunk_size(
     stacking profitable at any subset size, so only the memory budget caps
     the chunk.
     """
-    device_qubits = (
-        model.transpiled.coupling.num_qubits
+    width = (
+        len(model.transpiled.active_qubits)
         if model.transpiled is not None
         else model.num_qubits
     )
     samples = max(1, num_samples)
-    bytes_per_binding = samples * (4**device_qubits) * 16
+    bytes_per_binding = samples * (4**width) * 16
     by_memory = max(1, int(max_batch_bytes // bytes_per_binding))
     if shared_binding:
         return by_memory

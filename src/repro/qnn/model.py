@@ -400,23 +400,31 @@ class QNNModel:
         if seeds is not None and len(seeds) != count:
             raise TrainingError(f"{len(seeds)} seeds do not match {count} bindings")
         transpiled = self._require_transpiled()
-        device_qubits = transpiled.coupling.num_qubits
+        # Encode and walk on the active register only (exact: every channel
+        # is gate-local, see NoiseModel.restricted); read out on the device
+        # register so readout confusion and shot sampling see the
+        # device-width distribution.
+        active = transpiled.active_qubits
+        wire = {qubit: index for index, qubit in enumerate(active)}
+        walk_models = [model.restricted(active) for model in noise_models]
         backend = backend if backend is not None else default_density_backend()
-        simulator = backend.simulator(device_qubits)
+        simulator = backend.simulator(len(active))
         mapping = [
-            transpiled.encoding_physical_qubit(logical)
+            wire[transpiled.encoding_physical_qubit(logical)]
             for logical in range(self.num_qubits)
         ]
         initial = self.encoder.encode_density_matrices_multi(
-            features, simulator, noise_models=noise_models, qubit_mapping=mapping
+            features, simulator, noise_models=walk_models, qubit_mapping=mapping
         )
-        physical = [transpiled.to_physical(item) for item in parameter_sets]
+        compact = [transpiled.to_active(item) for item in parameter_sets]
         results = backend.execute_batch(
-            physical, initial_states=initial, noise_models=list(noise_models)
+            compact, initial_states=initial, noise_models=walk_models
         )
+        device_qubits = transpiled.coupling.num_qubits
         measured = transpiled.measured_physical_qubits(self.readout_qubits)
         rows = []
-        for index, result in enumerate(results):
+        for index, (result, noise_model) in enumerate(zip(results, noise_models)):
+            result = result.on_register(active, device_qubits, noise_model)
             if shots is None:
                 rows.append(
                     result.expectation_z(

@@ -361,7 +361,7 @@ class DensityMatrixBackend(_EngineBackend):
         super-batch: every gate is applied once across all bindings, and each
         gate's depolarizing channel carries per-binding strengths.  Bindings
         are grouped by (structure, parameter binding) and each group is one
-        engine walk, so a single binding runs the engine's per-binding walk.
+        engine walk, a single binding included.
         ``shots`` / ``seeds`` do not affect evolution here — sampling happens
         on the returned results (``sample_expectation_z``).
         """

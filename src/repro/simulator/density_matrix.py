@@ -22,15 +22,51 @@ from repro.utils.rng import SeedLike, ensure_rng
 
 @dataclass
 class DensityMatrixResult:
-    """Final density matrices of a batched noisy simulation."""
+    """Final density matrices of a batched noisy simulation.
+
+    Measurement reads out the ``num_qubits`` register.  ``rho`` spans that
+    register unless ``scatter`` is set: then ``rho`` holds only a compact
+    register of the qubits a circuit touches (see :meth:`on_register`) and
+    ``scatter[i]`` is the ``num_qubits``-register basis index of compact
+    basis index ``i``.
+    """
 
     rho: np.ndarray
     num_qubits: int
     noise_model: Optional[NoiseModel] = None
+    scatter: Optional[np.ndarray] = None
+
+    def on_register(
+        self,
+        qubits: Sequence[int],
+        num_qubits: int,
+        noise_model: Optional[NoiseModel] = None,
+    ) -> "DensityMatrixResult":
+        """Read this compact-register result out on a ``num_qubits`` register.
+
+        Compact qubit ``i`` is register qubit ``qubits[i]`` (sorted), every
+        other register qubit is ``|0>``; ``noise_model`` carries the
+        readout errors in register indices.
+        """
+        return DensityMatrixResult(
+            rho=self.rho,
+            num_qubits=num_qubits,
+            noise_model=noise_model,
+            scatter=ops.register_scatter_index(qubits, num_qubits),
+        )
 
     def probabilities(self, apply_readout_error: bool = True) -> np.ndarray:
-        """Measurement probabilities, optionally through readout confusion."""
+        """Measurement probabilities, optionally through readout confusion.
+
+        A compact result's diagonal is scattered into a zeroed
+        register-width vector first, so normalisation, readout confusion
+        and sampling see exactly the register-width distribution.
+        """
         probs = ops.density_probabilities(self.rho)
+        if self.scatter is not None:
+            register = np.zeros((probs.shape[0], 2**self.num_qubits), dtype=probs.dtype)
+            register[:, self.scatter] = probs
+            probs = register
         totals = probs.sum(axis=-1, keepdims=True)
         probs = np.divide(probs, totals, out=np.zeros_like(probs), where=totals > 0)
         if apply_readout_error and self.noise_model is not None:

@@ -844,7 +844,10 @@ class SimulationEngine:
         The walk flattens groups into one ``(groups * batch)`` super-batch so
         each gate (and each depolarizing channel, with per-group strengths) is
         a single vectorised application.  Bit-identical (up to the sign of
-        zeros) to calling :meth:`run_density` once per group.
+        zeros) to walking each group through
+        :meth:`repro.simulator.DensityMatrixSimulator.run`.  One group is
+        no special case: a noisy single binding takes the same stacked walk
+        as a day sweep, and a noise-free call applies the fused program.
         """
         groups, batch = rho.shape[0], rho.shape[1]
         if parameter_sets is None:
@@ -853,16 +856,6 @@ class SimulationEngine:
             raise SimulationError("group count mismatch between rho and circuits")
         if noise_models is not None and len(noise_models) != groups:
             raise SimulationError("group count mismatch between rho and noise models")
-        if groups == 1:
-            # A single binding is exactly one plain run — skip the grouping
-            # plumbing (it would only rebuild the same walk with overhead).
-            evolved = self.run_density(
-                circuits[0],
-                rho[0],
-                noise_model=None if noise_models is None else noise_models[0],
-                parameters=parameter_sets[0],
-            )
-            return evolved[None, ...]
         num_qubits = circuits[0].num_qubits
         flat = rho.reshape((groups * batch,) + rho.shape[2:])
 
@@ -1053,22 +1046,17 @@ class SimulationEngine:
     ) -> np.ndarray:
         """Apply ``circuit`` to density matrices, with optional noise.
 
-        Without a noise model the fused program is used.  With one, every
-        physical gate is followed by its calibrated channel, which forbids
-        fusing across gates — the engine then walks the cached per-gate
-        matrices instead, so the matrix-construction cost is still amortised.
+        A one-group view of :meth:`run_density_multi`: without a noise model
+        the fused program is applied; with one, every physical gate is
+        followed by its calibrated channel, which forbids fusing across
+        gates, so the cached per-gate matrices are walked instead.
         """
-        if noise_model is None:
-            program = self.compile(circuit, parameters)
-            return ops.apply_fused_density(rho, program.operations, program.num_qubits)
-        bound = self.bound_circuit(circuit, parameters)
-        num_qubits = bound.num_qubits
-        for record in bound.gates:
-            rho = ops.apply_unitary_density(rho, record.matrix, record.qubits, num_qubits)
-            channel = noise_model.channel_for_gate(record.gate)
-            if channel is not None:
-                rho = channel.apply(rho, record.qubits, num_qubits)
-        return rho
+        return self.run_density_multi(
+            [circuit],
+            np.asarray(rho)[None],
+            noise_models=None if noise_model is None else [noise_model],
+            parameter_sets=[parameters],
+        )[0]
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ builds Qiskit noise models from pulled IBM calibrations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
@@ -128,6 +128,37 @@ class NoiseModel:
                     min(1.0, r.prob_0_given_1 * factor),
                 )
                 for q, r in self.readout_error.items()
+            },
+        )
+
+    def restricted(self, qubits: Sequence[int]) -> "NoiseModel":
+        """This model's channels on ``qubits`` only, renumbered compactly.
+
+        Device qubit ``qubits[i]`` becomes qubit ``i`` of a
+        ``len(qubits)``-qubit model: the single-qubit, two-qubit and readout
+        tables keep the entries whose qubits all lie in ``qubits``, under
+        the new indices.
+
+        Exactness invariant: every channel is gate-local — a gate's
+        depolarizing channel acts on that gate's qubits alone and a readout
+        error on its own qubit alone.  A walk over a register of just the
+        qubits a circuit touches therefore applies exactly the channels the
+        device-width walk applies, while the dropped qubits — in ``|0>``,
+        never gated, never read — stay a product factor it never changes.
+        """
+        wire = {qubit: index for index, qubit in enumerate(qubits)}
+        return NoiseModel(
+            num_qubits=len(wire),
+            single_qubit_error={
+                wire[q]: e for q, e in self.single_qubit_error.items() if q in wire
+            },
+            two_qubit_error={
+                (wire[a], wire[b]): e
+                for (a, b), e in self.two_qubit_error.items()
+                if a in wire and b in wire
+            },
+            readout_error={
+                wire[q]: r for q, r in self.readout_error.items() if q in wire
             },
         )
 

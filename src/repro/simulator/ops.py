@@ -16,6 +16,8 @@ differ per sample).
 
 from __future__ import annotations
 
+import functools
+
 from collections import OrderedDict
 from typing import Optional, Sequence
 
@@ -46,7 +48,7 @@ def apply_unitary_statevector(
     ``unitary`` may be ``(2**k, 2**k)`` or a per-sample stack
     ``(batch, 2**k, 2**k)`` where ``k = len(qubits)``.
     """
-    qubits = _check_qubits(qubits, num_qubits)
+    perm, inverse = _cached_axis_permutation(tuple(qubits), num_qubits)
     k = len(qubits)
     dim = 2**k
     batch = states.shape[0]
@@ -54,16 +56,13 @@ def apply_unitary_statevector(
         raise SimulationError(
             f"unitary of dimension {unitary.shape[-1]} does not match {k} qubits"
         )
-    tensor = states.reshape((batch,) + (2,) * num_qubits)
-    axes = [1 + q for q in qubits]
-    tensor = np.moveaxis(tensor, axes, range(1, 1 + k))
-    tensor = tensor.reshape(batch, dim, -1)
+    moved = states.reshape((batch,) + (2,) * num_qubits).transpose(perm)
+    tensor = moved.reshape(batch, dim, -1)
     if unitary.ndim == 3:
         tensor = np.einsum("bij,bjr->bir", unitary, tensor)
     else:
         tensor = np.einsum("ij,bjr->bir", unitary, tensor)
-    tensor = tensor.reshape((batch,) + (2,) * num_qubits)
-    tensor = np.moveaxis(tensor, range(1, 1 + k), axes)
+    tensor = tensor.reshape(moved.shape).transpose(inverse)
     return tensor.reshape(batch, 2**num_qubits)
 
 
@@ -112,6 +111,19 @@ def statevector_axis_permutation(
     perm = (0, *target_axes, *rest)
     inverse = tuple(int(i) for i in np.argsort(perm))
     return perm, inverse
+
+
+@functools.lru_cache(maxsize=1024)
+def _cached_axis_permutation(
+    qubits: tuple[int, ...], num_qubits: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """:func:`statevector_axis_permutation`, memoised per ``(qubits, num_qubits)``.
+
+    The adjoint backward sweep applies a handful of gate placements
+    thousands of times; validating and permuting once per placement keeps
+    ``moveaxis`` bookkeeping out of that loop.
+    """
+    return statevector_axis_permutation(qubits, num_qubits)
 
 
 def apply_compiled_statevector(
@@ -641,6 +653,22 @@ def density_probabilities(rho: np.ndarray) -> np.ndarray:
     """Computational-basis probabilities (diagonal) of density matrices."""
     diag = np.einsum("bii->bi", rho).real
     return np.clip(diag, 0.0, None)
+
+
+def register_scatter_index(qubits: Sequence[int], num_qubits: int) -> np.ndarray:
+    """Register basis index of each basis index of a compact sub-register.
+
+    Compact qubit ``i`` is register qubit ``qubits[i]`` and every other
+    register qubit is ``|0>``; entry ``c`` is the ``num_qubits``-register
+    index of compact basis state ``c`` (big-endian on both sides).
+    """
+    qubits = _check_qubits(qubits, num_qubits)
+    k = len(qubits)
+    compact = np.arange(2**k)
+    index = np.zeros(2**k, dtype=np.int64)
+    for position, qubit in enumerate(qubits):
+        index |= ((compact >> (k - 1 - position)) & 1) << (num_qubits - 1 - qubit)
+    return index
 
 
 def apply_readout_confusion(

@@ -117,6 +117,24 @@ class TranspiledCircuit:
         """
         return self.routed.to_physical(parameters)
 
+    @property
+    def active_qubits(self) -> tuple[int, ...]:
+        """Sorted physical qubits the compiled circuit touches.
+
+        The routed gates' operands, the encoding layout and the readout
+        mapping; computed once per routed artifact.  Noisy evaluation walks
+        a register of just these qubits (see :meth:`to_active`).
+        """
+        return self.routed.active_qubits
+
+    def to_active(self, parameters: Sequence[float] | np.ndarray) -> QuantumCircuit:
+        """:meth:`to_physical` on a register of :attr:`active_qubits` only.
+
+        Device qubit ``active_qubits[i]`` is wire ``i``.  Memoised beside
+        :meth:`to_physical` on the routed artifact; read-only.
+        """
+        return self.routed.to_active(parameters)
+
     def physical_metrics(self, parameters: Sequence[float] | np.ndarray) -> CircuitMetrics:
         """Metrics of the basis-translated circuit for the given parameters."""
         return physical_metrics(self.to_physical(parameters))

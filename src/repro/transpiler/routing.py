@@ -23,8 +23,9 @@ from repro.transpiler.coupling import CouplingMap
 from repro.transpiler.layout import Layout
 from repro.utils.lru import lru_get, lru_put
 
-#: Per-routing capacity of the basis-translation memo (distinct parameter
-#: bindings held at once; the online loops cycle through a handful).
+#: Per-routing capacity of the basis-translation memo (device-width and
+#: compacted translations of distinct parameter bindings held at once; the
+#: online loops cycle through a handful).
 PHYSICAL_CACHE_SIZE = 128
 
 
@@ -52,6 +53,11 @@ class RoutedCircuit:
         association ``A(g_i)`` consumed by noise-aware compression.
     num_swaps:
         Number of SWAP gates inserted.
+    active_qubits:
+        Sorted physical qubits the artifact touches — every routed gate's
+        operands, the initial layout (where the encoding lands) and the
+        final mapping (where readouts land).  The remaining device qubits
+        stay in ``|0>``, receive no gate and no channel, and are never read.
     """
 
     circuit: QuantumCircuit
@@ -61,9 +67,17 @@ class RoutedCircuit:
     gate_physical_qubits: list[tuple[int, ...]]
     ref_physical_qubits: dict[int, tuple[int, ...]]
     num_swaps: int
+    active_qubits: tuple[int, ...] = field(init=False)
     _physical_cache: OrderedDict = field(
         default_factory=OrderedDict, repr=False, compare=False
     )
+
+    def __post_init__(self) -> None:
+        touched = set(self.initial_layout.logical_to_physical)
+        touched.update(self.final_mapping.values())
+        for gate in self.circuit.gates:
+            touched.update(gate.qubits)
+        self.active_qubits = tuple(sorted(touched))
 
     def measured_physical_qubits(self, logical_qubits: list[int]) -> list[int]:
         """Physical qubits to measure for the given logical readout qubits."""
@@ -78,16 +92,32 @@ class RoutedCircuit:
         for basis translation once per binding, not once per day.  Returned
         circuits are shared: callers must treat them as read-only.
         """
+        return self._translated(parameters, compact=False)
+
+    def to_active(self, parameters: Sequence[float] | np.ndarray) -> QuantumCircuit:
+        """:meth:`to_physical` compacted onto :attr:`active_qubits`, memoised.
+
+        Device qubit ``active_qubits[i]`` becomes wire ``i`` of a register
+        of ``len(active_qubits)`` qubits; gate order, names and angles are
+        unchanged.  Memoised in the same per-routing LRU as
+        :meth:`to_physical`; returned circuits are shared and read-only.
+        """
+        return self._translated(parameters, compact=True)
+
+    def _translated(self, parameters, compact: bool) -> QuantumCircuit:
         from repro.transpiler.basis import to_basis
 
         parameters = np.asarray(parameters, dtype=float)
-        key = parameter_digest(self.circuit, parameters)
+        key = (compact, parameter_digest(self.circuit, parameters))
         cached = lru_get(self._physical_cache, key)
         if cached is not None:
             return cached
-        physical = to_basis(self.circuit.bind_parameters(parameters))
-        lru_put(self._physical_cache, key, physical, PHYSICAL_CACHE_SIZE)
-        return physical
+        translated = to_basis(self.circuit.bind_parameters(parameters))
+        if compact:
+            wires = {qubit: wire for wire, qubit in enumerate(self.active_qubits)}
+            translated = translated.remap_qubits(wires, len(wires))
+        lru_put(self._physical_cache, key, translated, PHYSICAL_CACHE_SIZE)
+        return translated
 
 
 def route_circuit(

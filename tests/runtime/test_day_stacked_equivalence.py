@@ -36,9 +36,9 @@ from repro.simulator import (
 )
 from repro.transpiler import get_device_coupling, transpile
 
-#: Devices the property sweep draws from: one paper chip, two library
-#: topologies with different connectivity.
-DEVICES = ("belem", "ring_5", "line_5")
+#: Devices the property sweep draws from: both paper chips (5-qubit belem,
+#: 7-qubit jakarta) and two library topologies with different connectivity.
+DEVICES = ("belem", "jakarta", "ring_5", "line_5")
 #: One gradual and one discontinuous drift family.
 SCENARIOS = ("seasonal", "jump", "storm")
 

@@ -80,3 +80,20 @@ def test_mean_error_summary(snapshot):
     assert summary["mean_single_qubit_error"] == pytest.approx(2e-3)
     assert summary["mean_two_qubit_error"] == pytest.approx(0.015)
     assert summary["mean_readout_error"] == pytest.approx(0.04)
+
+
+def test_restricted_renumbers_every_table(snapshot):
+    model = NoiseModel.from_calibration(snapshot)
+    restricted = model.restricted((1, 2))
+    assert restricted.num_qubits == 2
+    assert restricted.single_qubit_error == {0: 2e-3, 1: 3e-3}
+    # (0, 1) touches the dropped qubit 0; only (1, 2) survives, as (0, 1).
+    assert restricted.two_qubit_error == {(0, 1): 0.02}
+    assert restricted.readout_error == {
+        0: model.readout_error[1],
+        1: model.readout_error[2],
+    }
+    # Channels follow the gates onto the compact wires unchanged.
+    assert restricted.gate_error_rate(Gate("cx", (1, 0))) == model.gate_error_rate(
+        Gate("cx", (2, 1))
+    )

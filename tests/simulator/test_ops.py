@@ -61,6 +61,32 @@ def test_apply_unitary_rejects_bad_qubits():
         ops.apply_unitary_statevector(states, mat.CX, [0, 0], 2)
 
 
+@pytest.mark.parametrize("qubits", [(0,), (2,), (0, 2), (2, 1), (3, 0)])
+def test_apply_unitary_statevector_bitmatches_moveaxis_form(qubits):
+    """The cached axis permutations view the batch exactly as moveaxis does."""
+    states = _random_state(4, 3, seed=7)
+    rng = np.random.default_rng(1)
+    dim = 2 ** len(qubits)
+    unitary = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    axes = [1 + q for q in qubits]
+    tensor = np.moveaxis(states.reshape((3,) + (2,) * 4), axes, range(1, 1 + len(qubits)))
+    tensor = np.einsum("ij,bjr->bir", unitary, tensor.reshape(3, dim, -1))
+    tensor = np.moveaxis(
+        tensor.reshape((3,) + (2,) * 4), range(1, 1 + len(qubits)), axes
+    )
+    out = ops.apply_unitary_statevector(states, unitary, list(qubits), 4)
+    assert np.array_equal(out, tensor.reshape(3, 16))
+
+
+def test_register_scatter_index_places_compact_states_big_endian():
+    # Compact qubits (0, 1) stand for register qubits (1, 3) of 4.
+    index = ops.register_scatter_index((1, 3), 4)
+    assert index.tolist() == [0b0000, 0b0001, 0b0100, 0b0101]
+    assert ops.register_scatter_index((0, 1, 2), 3).tolist() == list(range(8))
+    with pytest.raises(SimulationError):
+        ops.register_scatter_index((4,), 4)
+
+
 def test_density_and_statevector_agree_on_unitaries():
     states = _random_state(3, 2)
     rho = np.einsum("bi,bj->bij", states, states.conj())

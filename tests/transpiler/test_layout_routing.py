@@ -3,14 +3,17 @@
 import numpy as np
 import pytest
 
+from repro.calibration.synthetic import generate_device_history
 from repro.circuits import QuantumCircuit, build_qucad_ansatz
 from repro.exceptions import TranspilerError
 from repro.transpiler import (
     Layout,
     belem_coupling,
+    get_device_coupling,
     linear_coupling,
     noise_aware_layout,
     route_circuit,
+    transpile,
     trivial_layout,
 )
 
@@ -128,3 +131,42 @@ def test_routed_circuit_is_unitarily_equivalent_on_small_case():
             original_index |= bits[mapping[logical]] << (3 - 1 - logical)
         remapped[original_index] += routed_probs[index]
     assert np.allclose(remapped, original, atol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "device, active",
+    [
+        ("jakarta", (0, 1, 2, 3)),
+        ("line_7", (3, 4, 5, 6)),
+        ("ring_5", (0, 1, 2, 3, 4)),
+    ],
+)
+def test_active_qubits_cover_gates_layout_and_readout(device, active):
+    calibration = generate_device_history(device, 1, seed=0)[0]
+    transpiled = transpile(
+        build_qucad_ansatz(4, repeats=2), get_device_coupling(device),
+        calibration=calibration,
+    )
+    assert transpiled.active_qubits == active
+    touched = {q for gate in transpiled.routed.circuit.gates for q in gate.qubits}
+    touched |= set(transpiled.initial_layout.logical_to_physical)
+    touched |= set(transpiled.final_mapping.values())
+    assert set(active) == touched
+
+
+def test_to_active_is_to_physical_on_compact_wires():
+    calibration = generate_device_history("line_7", 1, seed=0)[0]
+    ansatz = build_qucad_ansatz(4, repeats=1)
+    transpiled = transpile(ansatz, get_device_coupling("line_7"), calibration=calibration)
+    parameters = np.linspace(-1.0, 1.0, ansatz.num_parameters)
+    physical = transpiled.to_physical(parameters)
+    compact = transpiled.to_active(parameters)
+    active = transpiled.active_qubits
+    assert compact.num_qubits == len(active)
+    assert [(g.name, g.param) for g in compact.gates] == [
+        (g.name, g.param) for g in physical.gates
+    ]
+    assert [tuple(active[q] for q in g.qubits) for g in compact.gates] == [
+        g.qubits for g in physical.gates
+    ]
+    assert transpiled.to_active(parameters) is compact  # memoised
