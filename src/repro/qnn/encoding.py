@@ -147,12 +147,6 @@ class AngleEncoder:
         from repro.simulator.statevector import _feature_rotation_stack
 
         groups = len(noise_models)
-        if groups == 1:
-            encoded = self.encode_density_matrices(
-                features, simulator, noise_model=noise_models[0],
-                qubit_mapping=qubit_mapping,
-            )
-            return encoded[None, ...]
         angles = self.angles(features)
         batch = angles.shape[0]
         num_qubits = simulator.num_qubits

@@ -22,7 +22,9 @@ import numpy as np
 
 from repro.circuits import circuit_structure_digest
 from repro.qnn.model import QNNModel
-from repro.simulator import NoiseModel
+# noise_model_digest lives beside NoiseModel (the simulator keys its channel
+# tables on it) and is re-exported here for existing callers.
+from repro.simulator.noise_model import noise_model_digest
 from repro.utils.lru import lru_get, lru_put
 
 
@@ -63,24 +65,6 @@ def model_digest(model: QNNModel, parameters: Optional[np.ndarray] = None) -> st
     )
     if model.transpiled is not None:
         hasher.update(model.transpiled.compilation_digest().encode())
-    return hasher.hexdigest()
-
-
-def noise_model_digest(noise_model: Optional[NoiseModel]) -> str:
-    """Digest of a noise model's channel strengths (order-independent)."""
-    hasher = hashlib.blake2b(digest_size=16)
-    if noise_model is None:
-        hasher.update(b"<ideal>")
-        return hasher.hexdigest()
-    hasher.update(str(noise_model.num_qubits).encode())
-    for qubit, error in sorted(noise_model.single_qubit_error.items()):
-        hasher.update(f"sq:{qubit}:{error!r};".encode())
-    for pair, error in sorted(noise_model.two_qubit_error.items()):
-        hasher.update(f"cx:{pair}:{error!r};".encode())
-    for qubit, error in sorted(noise_model.readout_error.items()):
-        hasher.update(
-            f"ro:{qubit}:{error.prob_1_given_0!r}:{error.prob_0_given_1!r};".encode()
-        )
     return hasher.hexdigest()
 
 

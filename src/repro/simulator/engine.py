@@ -45,6 +45,7 @@ from repro.exceptions import SimulationError
 from repro.gates import CROSS_PATH_GATES, Gate
 from repro.gates.matrices import I2, SWAP
 from repro.simulator import ops
+from repro.simulator.noise_model import noise_model_digest
 from repro.utils.lru import lru_get, lru_put
 
 # circuit_structure_digest / parameter_digest live in repro.circuits.digests
@@ -60,7 +61,11 @@ __all__ = [
     "CompiledProgram",
     "BoundGateRecord",
     "BoundCircuit",
+    "PlacementIndices",
+    "WalkSkeleton",
+    "build_walk_skeleton",
     "StackedWalkStep",
+    "NoisyWalkPlan",
     "build_stacked_walk",
     "materialize_program",
     "EngineStats",
@@ -357,16 +362,17 @@ class BoundCircuit:
     Used by the adjoint-gradient backward sweep and the noisy
     density-matrix path, both of which must walk gate-by-gate.  Derivative
     matrices are memoised on first request per gate index, and the
-    day-stacked walk plan (see :class:`StackedWalkStep`) on first use.
+    binding's half of the noisy walk plan (see :class:`NoisyWalkPlan`) on
+    first noisy walk.  ``circuit_id`` is the structure digest the engine
+    cached it under.
     """
 
     num_qubits: int
     gates: tuple[BoundGateRecord, ...]
     dtype: np.dtype = np.dtype(np.complex128)
+    circuit_id: str = ""
     _derivatives: dict[int, np.ndarray] = field(default_factory=dict)
-    #: ``None`` = not built yet; ``False`` = some gate is unsupported (fall
-    #: back to the generic grouped walk); otherwise the step tuple.
-    _stacked_walk: object = field(default=None, repr=False)
+    _walk_plan: Optional["NoisyWalkPlan"] = field(default=None, repr=False)
 
     def derivative(self, index: int) -> np.ndarray:
         """``d(matrix)/d(angle)`` of gate ``index``, memoised."""
@@ -378,78 +384,134 @@ class BoundCircuit:
         return cached
 
 
+# ---------------------------------------------------------------------------
+# Noisy walk plans
+# ---------------------------------------------------------------------------
+#
+# A noisy walk applies every physical gate, then its depolarizing channel.
+# Its set-up is built once per thing it depends on: the skeleton of indices
+# per structure (shared by every binding), the kernel steps per binding
+# (memoised on the BoundCircuit), and the channel table per (structure,
+# noise model) in a bounded engine LRU.
+
+
+@dataclass(frozen=True)
+class PlacementIndices:
+    """Precomputed indices of one gate placement on a density register.
+
+    ``row_subscripts`` / ``col_subscripts`` contract a dense gate into the
+    tensorised batch (:func:`repro.simulator.ops.density_gate_subscripts`);
+    ``sub`` lifts a k-qubit diagonal to the register; ``blocks`` index the
+    ``2**k`` diagonal blocks the depolarizing channel traces and refills
+    (:func:`repro.simulator.ops.density_block_indices`), and
+    ``scale_index`` broadcasts a per-sample strength against them.
+    """
+
+    qubits: tuple[int, ...]
+    row_subscripts: str
+    col_subscripts: str
+    sub: np.ndarray
+    blocks: tuple[tuple, ...]
+    scale_index: tuple
+
+
+@dataclass(frozen=True)
+class WalkSkeleton:
+    """Structure-level half of a noisy walk plan: one placement per gate.
+
+    Gates on the same qubits share one :class:`PlacementIndices` object, and
+    the engine shares one skeleton across every binding of a structure.
+    """
+
+    num_qubits: int
+    placements: tuple[PlacementIndices, ...]
+
+
+def build_walk_skeleton(circuit: Union[QuantumCircuit, BoundCircuit]) -> WalkSkeleton:
+    """Precompute the binding-independent indices of a noisy walk.
+
+    Raises :class:`SimulationError` past the einsum label alphabet (about 24
+    qubits, far beyond any density register that fits in memory).
+    """
+    num_qubits = circuit.num_qubits
+    by_qubits: dict[tuple[int, ...], PlacementIndices] = {}
+    placements = []
+    for gate in circuit.gates:
+        placement = by_qubits.get(gate.qubits)
+        if placement is None:
+            qubits = gate.qubits
+            row_subscripts, col_subscripts = ops.density_gate_subscripts(
+                qubits, num_qubits
+            )
+            placement = PlacementIndices(
+                qubits=qubits,
+                row_subscripts=row_subscripts,
+                col_subscripts=col_subscripts,
+                sub=ops.register_subindex(qubits, num_qubits),
+                blocks=ops.density_block_indices(qubits, num_qubits),
+                scale_index=(slice(None),) + (None,) * (2 * (num_qubits - len(qubits))),
+            )
+            by_qubits[qubits] = placement
+        placements.append(placement)
+    return WalkSkeleton(num_qubits=num_qubits, placements=tuple(placements))
+
+
 @dataclass(frozen=True)
 class StackedWalkStep:
-    """One gate of a day-stacked density walk, fully precomputed.
+    """One gate of a noisy walk under one binding.
 
     ``kind`` selects the kernel: ``"diagonal"`` multiplies the super-batch by
     the full-register phase factor built from ``phase_row``; ``"monomial"``
-    gathers through the flat ``gather`` indices (phase-corrected via
-    ``phase_row`` when present); ``"dense"`` runs the two precompiled einsum
-    contractions ``row_subscripts`` / ``col_subscripts`` with the tensorised
-    ``matrix`` / ``dagger`` operands.
+    gathers through the flat ``gather`` indices (shared read-only, see
+    :func:`repro.simulator.ops.density_monomial_gather`; phase-corrected via
+    ``phase_row`` when present); ``"dense"`` runs the placement's two einsum
+    contractions with the tensorised ``matrix`` / ``dagger`` operands.  The
+    kind is classified per binding because it depends on the bound matrix
+    (``rx(0)`` is diagonal).
     """
 
     kind: str
-    qubits: tuple[int, ...]
     phase_row: Optional[np.ndarray] = None
     gather: Optional[np.ndarray] = None
     matrix: Optional[np.ndarray] = None
     dagger: Optional[np.ndarray] = None
-    row_subscripts: Optional[str] = None
-    col_subscripts: Optional[str] = None
 
 
-def build_stacked_walk(bound: BoundCircuit) -> Optional[tuple[StackedWalkStep, ...]]:
-    """Precompute the day-stacked walk steps for one bound circuit.
+@dataclass(frozen=True)
+class NoisyWalkPlan:
+    """A bound circuit's noisy walk: the shared skeleton plus its own steps."""
 
-    Returns ``None`` when a gate cannot take a precompiled path (e.g. the
-    register is too wide for einsum labels), in which case callers fall back
-    to the generic grouped walk.
-    """
+    skeleton: WalkSkeleton
+    steps: tuple[StackedWalkStep, ...]
+
+
+def build_stacked_walk(bound: BoundCircuit, skeleton: WalkSkeleton) -> NoisyWalkPlan:
+    """Classify and precompute one bound circuit's walk steps on ``skeleton``."""
     num_qubits = bound.num_qubits
     steps = []
-    for record in bound.gates:
-        qubits = record.qubits
+    for record, placement in zip(bound.gates, skeleton.placements):
         diag = ops._diagonal_of(record.matrix)
         if diag is not None:
-            steps.append(
-                StackedWalkStep(
-                    kind="diagonal",
-                    qubits=qubits,
-                    phase_row=ops.density_diagonal_row(diag, qubits, num_qubits),
-                )
-            )
+            steps.append(StackedWalkStep(kind="diagonal", phase_row=diag[placement.sub]))
             continue
         monomial = ops._monomial_of(record.matrix)
         if monomial is not None:
             gather, phase_row = ops.density_monomial_gather(
-                monomial[0], monomial[1], qubits, num_qubits
+                monomial[0], monomial[1], record.qubits, num_qubits
             )
             steps.append(
-                StackedWalkStep(
-                    kind="monomial", qubits=qubits, gather=gather, phase_row=phase_row
-                )
+                StackedWalkStep(kind="monomial", gather=gather, phase_row=phase_row)
             )
             continue
-        try:
-            row_subscripts, col_subscripts = ops.density_gate_subscripts(
-                qubits, num_qubits
-            )
-        except SimulationError:
-            return None
-        shape = (2,) * (2 * len(qubits))
+        shape = (2,) * (2 * len(record.qubits))
         steps.append(
             StackedWalkStep(
                 kind="dense",
-                qubits=qubits,
                 matrix=np.ascontiguousarray(record.matrix).reshape(shape),
                 dagger=np.ascontiguousarray(record.matrix.conj()).reshape(shape),
-                row_subscripts=row_subscripts,
-                col_subscripts=col_subscripts,
             )
         )
-    return tuple(steps)
+    return NoisyWalkPlan(skeleton=skeleton, steps=tuple(steps))
 
 
 def _embed_general(
@@ -588,9 +650,11 @@ class SimulationEngine:
     ----------
     max_programs:
         LRU capacity of the compiled-program and bound-circuit caches
-        (entries are keyed ``(circuit_id, parameter_digest)``).
+        (entries are keyed ``(circuit_id, parameter_digest)``) and of the
+        noisy walk's channel tables (keyed ``(circuit_id, noise digest)``).
     max_plans:
-        LRU capacity of the structure-level fusion-plan cache.
+        LRU capacity of the structure-level fusion-plan and walk-skeleton
+        caches.
     fusion:
         Disable to compile identity programs (one block per gate); used by
         tests and the throughput benchmark to isolate the fusion gain.
@@ -628,21 +692,17 @@ class SimulationEngine:
         self._plans: OrderedDict[str, FusionPlan] = OrderedDict()
         self._programs: OrderedDict[tuple[str, str], CompiledProgram] = OrderedDict()
         self._bound: OrderedDict[tuple[str, str], BoundCircuit] = OrderedDict()
+        self._skeletons: OrderedDict[str, WalkSkeleton] = OrderedDict()
+        self._tables: OrderedDict[tuple[str, str], np.ndarray] = OrderedDict()
 
     # -- cache plumbing -------------------------------------------------
-    @staticmethod
-    def _lru_get(cache: OrderedDict, key):
-        return lru_get(cache, key)
-
-    @staticmethod
-    def _lru_put(cache: OrderedDict, key, value, capacity: int) -> None:
-        lru_put(cache, key, value, capacity)
-
     def clear(self) -> None:
-        """Drop every cached plan, program, and bound circuit."""
+        """Drop every cached plan, program, bound circuit and walk table."""
         self._plans.clear()
         self._programs.clear()
         self._bound.clear()
+        self._skeletons.clear()
+        self._tables.clear()
 
     def cache_sizes(self) -> dict[str, int]:
         """Current number of entries per cache (for introspection/tests)."""
@@ -650,13 +710,15 @@ class SimulationEngine:
             "plans": len(self._plans),
             "programs": len(self._programs),
             "bound": len(self._bound),
+            "skeletons": len(self._skeletons),
+            "tables": len(self._tables),
         }
 
     # -- compilation ----------------------------------------------------
     def plan_for(self, circuit: QuantumCircuit) -> tuple[str, FusionPlan]:
         """The fusion plan for ``circuit``'s structure (cached by digest)."""
         circuit_id = circuit_structure_digest(circuit)
-        plan = self._lru_get(self._plans, circuit_id)
+        plan = lru_get(self._plans, circuit_id)
         if plan is None:
             if self.fusion:
                 plan = build_fusion_plan(circuit, max_width=self.fusion_width)
@@ -669,7 +731,7 @@ class SimulationEngine:
                     ),
                     source_gate_count=len(circuit.gates),
                 )
-            self._lru_put(self._plans, circuit_id, plan, self.max_plans)
+            lru_put(self._plans, circuit_id, plan, self.max_plans)
             self.stats.plan_builds += 1
         else:
             self.stats.plan_hits += 1
@@ -693,7 +755,7 @@ class SimulationEngine:
         circuit_id, plan = self.plan_for(circuit)
         parameter_key = parameter_digest(circuit, parameters)
         cache_key = (circuit_id, parameter_key)
-        program = self._lru_get(self._programs, cache_key)
+        program = lru_get(self._programs, cache_key)
         if program is not None:
             self.stats.program_hits += 1
             return program
@@ -701,7 +763,7 @@ class SimulationEngine:
         program = materialize_program(
             plan, bound.gates, circuit_id, parameter_key, dtype=self.complex_dtype
         )
-        self._lru_put(self._programs, cache_key, program, self.max_programs)
+        lru_put(self._programs, cache_key, program, self.max_programs)
         self.stats.program_builds += 1
         return program
 
@@ -712,7 +774,7 @@ class SimulationEngine:
         circuit_id = circuit_structure_digest(circuit)
         parameter_key = parameter_digest(circuit, parameters)
         cache_key = (circuit_id, parameter_key)
-        bound = self._lru_get(self._bound, cache_key)
+        bound = lru_get(self._bound, cache_key)
         if bound is not None:
             self.stats.bound_hits += 1
             return bound
@@ -732,8 +794,9 @@ class SimulationEngine:
             num_qubits=circuit.num_qubits,
             gates=tuple(records),
             dtype=self.complex_dtype,
+            circuit_id=circuit_id,
         )
-        self._lru_put(self._bound, cache_key, bound, self.max_programs)
+        lru_put(self._bound, cache_key, bound, self.max_programs)
         self.stats.bound_builds += 1
         return bound
 
@@ -841,10 +904,12 @@ class SimulationEngine:
         ``rho`` has shape ``(groups, batch, 2**n, 2**n)``; group ``g``
         evolves under ``circuits[g]`` bound with ``parameter_sets[g]`` and —
         when ``noise_models`` is given — under ``noise_models[g]``'s channels.
-        The walk flattens groups into one ``(groups * batch)`` super-batch so
-        each gate (and each depolarizing channel, with per-group strengths) is
-        a single vectorised application.  Bit-identical (up to the sign of
-        zeros) to walking each group through
+        Groups sharing one bound circuit flatten into one ``(groups * batch)``
+        super-batch and take one noisy walk plan (see :class:`NoisyWalkPlan`),
+        so each gate (and each depolarizing channel, with per-group strengths
+        from the cached channel tables) is a single vectorised application;
+        distinct bindings walk their own plans in turn.  Bit-identical (up to
+        the sign of zeros) to walking each group through
         :meth:`repro.simulator.DensityMatrixSimulator.run`.  One group is
         no special case: a noisy single binding takes the same stacked walk
         as a day sweep, and a noise-free call applies the fused program.
@@ -861,11 +926,14 @@ class SimulationEngine:
 
         if noise_models is None or all(m is None for m in noise_models):
             programs = self.compile_many(circuits, parameter_sets)
-            for step_index in range(programs[0].fused_gate_count):
-                qubits = programs[0].operations[step_index].qubits
-                matrices = [p.operations[step_index].matrix for p in programs]
-                flat = self._apply_density_group_matrices(
-                    flat, matrices, qubits, num_qubits, batch
+            for step_index, operation in enumerate(programs[0].operations):
+                matrix = operation.matrix
+                matrices = [p.operations[step_index].matrix for p in programs[1:]]
+                if not all(m is matrix or np.array_equal(m, matrix) for m in matrices):
+                    # Per-group matrices: one per sample of the super-batch.
+                    matrix = np.repeat(np.stack([matrix] + matrices), batch, axis=0)
+                flat = ops.apply_unitary_density(
+                    flat, matrix, operation.qubits, num_qubits
                 )
             return flat.reshape(rho.shape)
 
@@ -881,56 +949,33 @@ class SimulationEngine:
                 for circuit, parameters in zip(circuits, parameter_sets)
             ]
         reference = bounds[0]
-        for bound in bounds[1:]:
-            if bound is reference:
-                continue
-            if len(bound.gates) != len(reference.gates) or any(
-                a.gate.name != b.gate.name or a.qubits != b.qubits
-                for a, b in zip(bound.gates, reference.gates)
-            ):
-                raise SimulationError(
-                    "cannot batch density execution across different structures"
-                )
-        if all(bound is reference for bound in bounds[1:]):
-            steps = self._stacked_walk_for(reference)
-            if steps is not None:
-                probabilities = np.array(
-                    [
-                        [
-                            self._channel_probability(model, record.gate)
-                            for model in noise_models
-                        ]
-                        for record in reference.gates
-                    ]
-                )
-                walked = self._run_density_stacked(
-                    reference, steps, flat.copy(), probabilities, batch
-                )
-                return walked.reshape(rho.shape)
-        for gate_index in range(len(reference.gates)):
-            records = [bound.gates[gate_index] for bound in bounds]
-            qubits = records[0].qubits
-            flat = self._apply_density_group_matrices(
-                flat, [r.matrix for r in records], qubits, num_qubits, batch
+        if any(bound.circuit_id != reference.circuit_id for bound in bounds[1:]):
+            raise SimulationError(
+                "cannot batch density execution across different structures"
             )
-            probabilities = np.array(
-                [
-                    self._channel_probability(model, record.gate)
-                    for model, record in zip(noise_models, records)
-                ]
+        table = np.stack(
+            [self._channel_table(reference, model) for model in noise_models], axis=1
+        )
+        # Groups sharing a bound circuit walk together; distinct bindings
+        # each walk their own plan in turn.
+        walks: dict[int, tuple[BoundCircuit, list[int]]] = {}
+        for index, bound in enumerate(bounds):
+            walks.setdefault(id(bound), (bound, []))[1].append(index)
+        if len(walks) == 1:
+            walked = self._run_density_stacked(
+                self._walk_plan(reference), flat.copy(), table, batch
             )
-            if np.any(probabilities):
-                flat = ops.apply_depolarizing_density(
-                    flat, np.repeat(probabilities, batch), qubits, num_qubits
-                )
-        return flat.reshape(rho.shape)
-
-    @staticmethod
-    def _channel_probability(noise_model, gate) -> float:
-        if noise_model is None:
-            return 0.0
-        channel = noise_model.channel_for_gate(gate)
-        return channel.probability if channel is not None else 0.0
+            return walked.reshape(rho.shape)
+        out = np.empty_like(rho)
+        for bound, indices in walks.values():
+            walked = self._run_density_stacked(
+                self._walk_plan(bound),
+                rho[indices].reshape((len(indices) * batch,) + rho.shape[2:]),
+                table[:, indices],
+                batch,
+            )
+            out[indices] = walked.reshape((len(indices),) + rho.shape[1:])
+        return out
 
     @staticmethod
     def _shared_binding(parameter_sets) -> bool:
@@ -945,97 +990,119 @@ class SimulationEngine:
                 return False
         return True
 
-    @staticmethod
-    def _stacked_walk_for(bound: BoundCircuit) -> Optional[tuple[StackedWalkStep, ...]]:
-        """The bound circuit's day-stacked walk plan, built once and memoised."""
-        plan = bound._stacked_walk
+    def _walk_plan(self, bound: BoundCircuit) -> NoisyWalkPlan:
+        """The bound circuit's noisy walk plan, built once and memoised.
+
+        The skeleton comes from the engine's structure-keyed LRU, so every
+        binding of one structure shares its index objects.
+        """
+        plan = bound._walk_plan
         if plan is None:
-            plan = build_stacked_walk(bound)
-            bound._stacked_walk = False if plan is None else plan
-        return None if plan is False else plan
+            skeleton = lru_get(self._skeletons, bound.circuit_id)
+            if skeleton is None:
+                skeleton = build_walk_skeleton(bound)
+                lru_put(self._skeletons, bound.circuit_id, skeleton, self.max_plans)
+            plan = build_stacked_walk(bound, skeleton)
+            bound._walk_plan = plan
+        return plan
+
+    def _channel_table(self, bound: BoundCircuit, noise_model) -> np.ndarray:
+        """Per-gate depolarizing probabilities of ``noise_model``, cached.
+
+        One ``(num_gates,)`` row per (structure, noise model), validated
+        against ``[0, 1]`` once, when it is built.
+        """
+        key = (bound.circuit_id, noise_model_digest(noise_model))
+        table = lru_get(self._tables, key)
+        if table is None:
+            table = np.zeros(len(bound.gates))
+            if noise_model is not None:
+                for index, record in enumerate(bound.gates):
+                    channel = noise_model.channel_for_gate(record.gate)
+                    if channel is not None:
+                        table[index] = channel.probability
+            if not np.all((table >= 0.0) & (table <= 1.0)):
+                raise SimulationError(
+                    "depolarizing probabilities outside [0, 1] in the channel table"
+                )
+            table.setflags(write=False)
+            lru_put(self._tables, key, table, self.max_programs)
+        return table
 
     @staticmethod
     def _run_density_stacked(
-        bound: BoundCircuit,
-        steps: tuple[StackedWalkStep, ...],
+        plan: NoisyWalkPlan,
         flat: np.ndarray,
-        probabilities: np.ndarray,
+        table: np.ndarray,
         batch: int,
     ) -> np.ndarray:
-        """Walk one bound circuit over a day-stacked super-batch in place.
+        """Walk one bound circuit over a stacked super-batch in place.
 
         ``flat`` is an owned, C-contiguous ``(groups * batch, dim, dim)``
-        array (it is mutated); ``probabilities`` holds per-gate per-group
-        channel strengths, shape ``(num_gates, groups)``.  Bit-identical (up
-        to the sign of zeros) to the generic per-gate grouped walk: the
-        kernels perform the same elementary products and sums, only without
-        the transpose and allocation traffic.
+        array (it is mutated); ``table`` holds per-gate per-group channel
+        strengths, shape ``(num_gates, groups)``.  Every step applies the
+        gate (one phase pass, one gather or two in-place einsum
+        contractions) and then, when any group's strength is non-zero, the
+        depolarizing channel ``rho -> (1 - p) rho + p (I/d)_Q (x) Tr_Q(rho)``
+        through the placement's diagonal-block views: summing the blocks in
+        order is the partial trace, and adding the blended term back through
+        them writes the mixed state.  Bit-identical to
+        :meth:`repro.simulator.DensityMatrixSimulator.run` per group, up to
+        the sign of zeros; nothing is validated or indexed per step.
         """
-        num_qubits = bound.num_qubits
+        skeleton = plan.skeleton
+        num_qubits = skeleton.num_qubits
         dim = 2**num_qubits
         total = flat.shape[0]
-        tensor_shape = (total,) + (2,) * (2 * num_qubits)
-        rho = flat
-        spare = np.empty_like(rho)
-        for step, gate_probabilities in zip(steps, probabilities):
-            if step.kind == "diagonal":
+        # The channel coefficients stay in the state's real precision so the
+        # in-place multiplies never upcast a complex64 walk (no-op at float64).
+        strengths = np.repeat(table, batch, axis=1).astype(flat.real.dtype, copy=False)
+        keeps = (1.0 - strengths)[:, :, None, None]
+        noisy = table.any(axis=1).tolist()
+        buffers = (flat, np.empty_like(flat))
+        tensors = tuple(
+            buffer.reshape((total,) + (2,) * (2 * num_qubits)) for buffer in buffers
+        )
+        rows = tuple(buffer.reshape(total, dim * dim) for buffer in buffers)
+        current = 0
+        for index, (step, placement) in enumerate(zip(plan.steps, skeleton.placements)):
+            if step.kind == "monomial":
+                np.take(rows[current], step.gather, axis=1, out=rows[1 - current])
+                current = 1 - current
+            elif step.kind == "dense":
+                np.einsum(
+                    placement.row_subscripts,
+                    step.matrix,
+                    tensors[current],
+                    out=tensors[1 - current],
+                )
+                np.einsum(
+                    placement.col_subscripts,
+                    step.dagger,
+                    tensors[1 - current],
+                    out=tensors[current],
+                )
+            if step.phase_row is not None:
+                # Diagonal gates, and monomial gates with phases.
                 row = step.phase_row
                 np.multiply(
-                    rho, (row[:, None] * row.conj()[None, :])[None, :, :], out=rho
+                    buffers[current],
+                    (row[:, None] * row.conj()[None, :])[None, :, :],
+                    out=buffers[current],
                 )
-            elif step.kind == "monomial":
-                np.take(
-                    rho.reshape(total, dim * dim),
-                    step.gather,
-                    axis=1,
-                    out=spare.reshape(total, dim * dim),
+            if noisy[index]:
+                tensor = tensors[current]
+                views = [tensor[block] for block in placement.blocks]
+                traced = views[0] + views[1]
+                for view in views[2:]:
+                    traced = traced + view
+                term = strengths[index][placement.scale_index] * (
+                    traced / len(views)
                 )
-                if step.phase_row is not None:
-                    row = step.phase_row
-                    np.multiply(
-                        spare,
-                        (row[:, None] * row.conj()[None, :])[None, :, :],
-                        out=spare,
-                    )
-                rho, spare = spare, rho
-            else:
-                np.einsum(
-                    step.row_subscripts,
-                    step.matrix,
-                    rho.reshape(tensor_shape),
-                    out=spare.reshape(tensor_shape),
-                )
-                rho, spare = spare, rho
-                np.einsum(
-                    step.col_subscripts,
-                    step.dagger,
-                    rho.reshape(tensor_shape),
-                    out=spare.reshape(tensor_shape),
-                )
-                rho, spare = spare, rho
-            if np.any(gate_probabilities):
-                ops.apply_depolarizing_density_stacked(
-                    rho,
-                    np.repeat(gate_probabilities, batch),
-                    step.qubits,
-                    num_qubits,
-                )
-        return rho
-
-    @staticmethod
-    def _apply_density_group_matrices(
-        flat: np.ndarray,
-        matrices: Sequence[np.ndarray],
-        qubits: tuple[int, ...],
-        num_qubits: int,
-        batch: int,
-    ) -> np.ndarray:
-        """Apply per-group gate matrices to a flattened group super-batch."""
-        first = matrices[0]
-        if all(m is first or np.array_equal(m, first) for m in matrices[1:]):
-            return ops.apply_unitary_density(flat, first, qubits, num_qubits)
-        per_sample = np.repeat(np.stack(matrices), batch, axis=0)
-        return ops.apply_unitary_density(flat, per_sample, qubits, num_qubits)
+                np.multiply(buffers[current], keeps[index], out=buffers[current])
+                for view in views:
+                    view += term
+        return buffers[current]
 
     def run_density(
         self,

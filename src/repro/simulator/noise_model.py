@@ -9,6 +9,8 @@ builds Qiskit noise models from pulled IBM calibrations.
 
 from __future__ import annotations
 
+import hashlib
+
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -175,3 +177,21 @@ class NoiseModel:
             "mean_two_qubit_error": float(np.mean(two)) if two else 0.0,
             "mean_readout_error": float(np.mean(readout)) if readout else 0.0,
         }
+
+
+def noise_model_digest(noise_model: Optional[NoiseModel]) -> str:
+    """Digest of a noise model's channel strengths (order-independent)."""
+    hasher = hashlib.blake2b(digest_size=16)
+    if noise_model is None:
+        hasher.update(b"<ideal>")
+        return hasher.hexdigest()
+    hasher.update(str(noise_model.num_qubits).encode())
+    for qubit, error in sorted(noise_model.single_qubit_error.items()):
+        hasher.update(f"sq:{qubit}:{error!r};".encode())
+    for pair, error in sorted(noise_model.two_qubit_error.items()):
+        hasher.update(f"cx:{pair}:{error!r};".encode())
+    for qubit, error in sorted(noise_model.readout_error.items()):
+        hasher.update(
+            f"ro:{qubit}:{error.prob_1_given_0!r}:{error.prob_0_given_1!r};".encode()
+        )
+    return hasher.hexdigest()

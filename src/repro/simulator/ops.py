@@ -235,12 +235,7 @@ def _apply_diagonal_density(
     rotations (diagonal), so skipping the tensor transposition/contraction
     machinery for them dominates the noisy walk's throughput.
     """
-    dim = rho.shape[-1]
-    k = len(qubits)
-    indices = np.arange(dim)
-    sub = np.zeros(dim, dtype=np.int64)
-    for position, qubit in enumerate(qubits):
-        sub |= ((indices >> (num_qubits - 1 - qubit)) & 1) << (k - 1 - position)
+    sub = register_subindex(qubits, num_qubits)
     # The phase outer product must be bound to a name before the multiply:
     # a refcount-1 temporary lets numpy elide it into an in-place multiply
     # (for operands >= the elision size threshold), whose complex kernel
@@ -273,9 +268,7 @@ def _monomial_of(unitary: np.ndarray):
     return perm, phases
 
 
-def _full_register_subindex(
-    qubits: Sequence[int], num_qubits: int
-) -> np.ndarray:
+def register_subindex(qubits: Sequence[int], num_qubits: int) -> np.ndarray:
     """For each basis index, the sub-index formed by the target qubits' bits."""
     dim = 2**num_qubits
     k = len(qubits)
@@ -301,7 +294,7 @@ def _monomial_full_permutation(
     """
     dim = 2**num_qubits
     num = num_qubits
-    sub = _full_register_subindex(qubits, num)
+    sub = register_subindex(qubits, num)
     target_sub = perm[sub]
     k = len(qubits)
     cleared = np.arange(dim)
@@ -458,8 +451,9 @@ def apply_depolarizing_density(
 # appliers: dense gates contract in place via precomputed einsum subscripts,
 # diagonal/monomial gates become one elementwise (or gather) pass, and the
 # depolarizing channel updates the density batch in place through
-# diagonal-block views.  Every kernel is bit-identical to its out-of-place
-# counterpart above, up to the sign of zeros.
+# diagonal-block views.  The indices below are precomputed once per gate
+# placement by the engine's walk skeleton; the kernel itself is
+# ``SimulationEngine._run_density_stacked``.
 
 _EINSUM_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
@@ -499,17 +493,28 @@ def density_gate_subscripts(
     return subscript(1), subscript(1 + num_qubits)
 
 
-def density_diagonal_row(
-    diag: np.ndarray, qubits: Sequence[int], num_qubits: int
-) -> np.ndarray:
-    """Lift a k-qubit diagonal to the full register: ``row[i] = diag[sub(i)]``.
+def density_block_indices(qubits: Sequence[int], num_qubits: int) -> tuple[tuple, ...]:
+    """Index tuples of the target qubits' diagonal blocks of a density batch.
 
-    ``row[:, None] * row.conj()[None, :]`` is then the elementwise factor a
-    diagonal gate applies to a density matrix (the factor
-    :func:`_apply_diagonal_density` builds internally).
+    The batch is viewed as ``(batch,) + (2,) * (2 * num_qubits)``; entry
+    ``s`` fixes the target qubits' row *and* column bits to the bits of
+    ``s``, so ``tensor[blocks[s]]`` is the ``(s, s)`` diagonal block.
+    Summing the blocks in ``s`` order is the partial trace over the target
+    qubits (the order ``einsum("biir->br")`` accumulates in), and adding to
+    each block writes ``(I/d)_Q (x) X`` — the depolarizing channel's mixed
+    state — exactly where it is non-zero.
     """
     qubits = _check_qubits(qubits, num_qubits)
-    return diag[_full_register_subindex(qubits, num_qubits)]
+    k = len(qubits)
+    blocks = []
+    for state in range(2**k):
+        index: list = [slice(None)] * (1 + 2 * num_qubits)
+        for position, qubit in enumerate(qubits):
+            bit = (state >> (k - 1 - position)) & 1
+            index[1 + qubit] = bit
+            index[1 + num_qubits + qubit] = bit
+        blocks.append(tuple(index))
+    return tuple(blocks)
 
 
 #: Capacity of the shared monomial-gather cache (one ``dim**2`` int64 array
@@ -550,70 +555,6 @@ def density_monomial_gather(
         gather.setflags(write=False)
         lru_put(_MONOMIAL_GATHERS, key, gather, MONOMIAL_GATHER_CACHE_SIZE)
     return gather, full_phases
-
-
-def apply_depolarizing_density_stacked(
-    rho: np.ndarray,
-    probability,
-    qubits: Sequence[int],
-    num_qubits: int,
-) -> np.ndarray:
-    """In-place depolarizing channel on a day-stacked density super-batch.
-
-    Same channel as :func:`apply_depolarizing_density` — bit-identical up to
-    the sign of zeros (off-diagonal entries keep their signed zeros instead
-    of being canonicalised by an explicit ``+ p * 0``) — but it mutates
-    ``rho`` through diagonal-block views instead of materialising the mixed
-    state, removing two super-batch-sized allocations and the axis-move
-    copies from the hot walk.  ``rho`` must be a C-contiguous
-    ``(batch, 2**n, 2**n)`` array the caller owns; it is returned mutated.
-    """
-    probability = np.asarray(probability, dtype=float)
-    if np.any(probability < 0) or np.any(probability > 1):
-        raise SimulationError(f"depolarizing probability {probability} outside [0, 1]")
-    if not np.any(probability):
-        return rho
-    if probability.ndim not in (0, 1):
-        raise SimulationError("depolarizing probability must be a scalar or 1-D array")
-    batch = rho.shape[0]
-    if probability.ndim == 1 and probability.shape[0] != batch:
-        raise SimulationError(
-            f"per-sample probabilities of length {probability.shape[0]} do not "
-            f"match batch size {batch}"
-        )
-    qubits = _check_qubits(qubits, num_qubits)
-    k = len(qubits)
-    d = 2**k
-    tensor = rho.reshape((batch,) + (2,) * (2 * num_qubits))
-    # One view per diagonal sub-block of the target qubits: row bits == col
-    # bits == s.  Summing them in s order reproduces the partial trace of
-    # the out-of-place path (einsum accumulates the traced index in the same
-    # order), and adding the blended term back through the views writes the
-    # mixed state exactly where the dense ``mixed`` array is non-zero.
-    views = []
-    for state in range(d):
-        index: list = [slice(None)] * (1 + 2 * num_qubits)
-        for position, qubit in enumerate(qubits):
-            bit = (state >> (k - 1 - position)) & 1
-            index[1 + qubit] = bit
-            index[1 + num_qubits + qubit] = bit
-        views.append(tensor[tuple(index)])
-    traced = views[0] + views[1]
-    for state in range(2, d):
-        traced = traced + views[state]
-    # Keep the channel coefficients in the state's real precision so the
-    # in-place multiplies never upcast a complex64 walk (no-op at float64).
-    probability = probability.astype(rho.real.dtype, copy=False)
-    if probability.ndim == 1:
-        scale = probability.reshape((batch,) + (1,) * (traced.ndim - 1))
-        term = scale * (traced / d)
-        np.multiply(rho, (1.0 - probability)[:, None, None], out=rho)
-    else:
-        term = probability * (traced / d)
-        np.multiply(rho, 1.0 - probability, out=rho)
-    for view in views:
-        view += term
-    return rho
 
 
 def partial_trace(

@@ -200,7 +200,9 @@ class TestCaching:
         engine.run_statevector(ansatz, _random_states(rng, 2, 2), parameters=theta)
         assert engine.cache_sizes()["programs"] == 1
         engine.clear()
-        assert engine.cache_sizes() == {"plans": 0, "programs": 0, "bound": 0}
+        assert engine.cache_sizes() == {
+            "plans": 0, "programs": 0, "bound": 0, "skeletons": 0, "tables": 0
+        }
 
 
 # ---------------------------------------------------------------------------
